@@ -59,7 +59,7 @@ def validate_action(action, act_dim: int) -> np.ndarray:
     arr = np.asarray(action, dtype=np.float64)
     if arr.ndim != 1 or arr.shape[0] != act_dim:
         raise ActionShapeError(f"expected action of length {act_dim}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ActionValueError("action contains non-finite entries")
     return arr
 
@@ -101,7 +101,7 @@ class ScenarioSpec:
     observe: Callable[[], np.ndarray]
     reward: Callable[[np.ndarray, np.ndarray], float]
     status: Callable[[int], tuple[bool, bool]]
-    diagnostics: Callable[[], dict] | None = None
+    diagnostics: Callable[[], dict] | None = None  # a new dict per call; the step adds keys
 
     def __post_init__(self):
         if self.sim_step_size <= 0:
@@ -171,7 +171,7 @@ class Episode:
             raise ResetError(f"reset hook failed: {exc}") from exc
         self.clock.decision_step = 0
         obs = self._observe()
-        if not np.all(np.isfinite(obs)):
+        if not np.isfinite(obs).all():
             raise NumericalError("non-finite initial observation")
         self._active = True
         self._last_obs = obs
@@ -180,17 +180,18 @@ class Episode:
     def step(self, action) -> StepResult:
         if not self._active:
             raise EpisodeOver("episode is over; reset before stepping")
-        action = validate_action(action, self.spec.act_dim)
+        spec = self.spec
+        action = validate_action(action, spec.act_dim)
 
-        self.spec.apply_action(action)
-        dt = self.spec.sim_step_size
-        for _ in range(self.spec.steps_per_action):
-            self.spec.advance_one(dt)
+        spec.apply_action(action)
+        advance_one, dt = spec.advance_one, spec.sim_step_size
+        for _ in range(spec.steps_per_action):
+            advance_one(dt)
         self.clock.decision_step += 1
 
         obs = self._observe()
-        info = dict(self.spec.diagnostics()) if self.spec.diagnostics is not None else {}
-        if not np.all(np.isfinite(obs)):
+        info = spec.diagnostics() if spec.diagnostics is not None else {}
+        if not np.isfinite(obs).all():
             # Numerical blowup ends the episode instead of crashing the run.
             obs = self._last_obs.copy()
             info["numerical_failure"] = True

@@ -68,7 +68,7 @@ class BatchStep:
     actions: np.ndarray
     results: list[StepResult]
     step_index: int
-    barrier_latency: float  # max worker reply time within the barrier, seconds
+    barrier_latency: float  # seconds from the first send to the last reply, on either transport
 
 
 class InProcessChannel:
@@ -80,15 +80,12 @@ class InProcessChannel:
         self._frame_log = frame_log
         self._log_index = log_index
         self._pending: tuple[int, bytes] | None = None
-        self._elapsed = 0.0
 
     def send(self, frame: bytes) -> None:
         if self._frame_log is not None:
             self._frame_log.append(("send", self._log_index, frame))
         tag, payload = wire.decode_frame(frame)
-        t0 = time.perf_counter()
         reply = self.runtime.handle_frame(tag, payload)
-        self._elapsed = time.perf_counter() - t0
         if reply is None:  # CLOSE
             self.alive = False
             self._pending = None
@@ -97,12 +94,11 @@ class InProcessChannel:
             self._frame_log.append(("recv", self._log_index, reply))
         self._pending = wire.decode_frame(reply)
 
-    def collect(self) -> tuple[int, bytes, float]:
+    def collect(self) -> tuple[int, bytes]:
         if self._pending is None:
             raise ProtocolError("no pending reply on this channel")
-        tag, payload = self._pending
-        self._pending = None
-        return tag, payload, self._elapsed
+        pending, self._pending = self._pending, None
+        return pending
 
     def close(self) -> None:
         self.alive = False
@@ -296,7 +292,8 @@ class WorkerPool:
     def _barrier(self, indices, frames, expect: int):
         """Send one frame per index, await one reply per index.
 
-        Returns (outcomes ordered like ``indices``, max reply latency).
+        Returns (outcomes ordered like ``indices``, seconds from the first
+        send to the last reply).
         Outcomes are payload bytes of the expected tag, or an exception.
         """
         if self._closed:
@@ -321,10 +318,11 @@ class WorkerPool:
 
         latency = 0.0
         if self.transport == "in-process":
+            # Each send ran its handler to completion, so every reply is in.
+            if pending:
+                latency = time.perf_counter() - start
             for idx in sorted(pending):
-                tag, payload, elapsed = self._channels[idx].collect()
-                latency = max(latency, elapsed)
-                outcomes[slot_of[idx]] = self._interpret(tag, payload, expect)
+                outcomes[slot_of[idx]] = self._interpret(*self._channels[idx].collect(), expect)
             return outcomes, latency
 
         deadline = start + self.step_timeout_s
@@ -562,7 +560,7 @@ def spawn_workers(
             init = dict(init_spec)
             init["worker_index"] = idx
             chan.send(wire.encode_frame(wire.TAG_INIT, wire.dumps_canonical(init)))
-            tag, payload, _ = chan.collect()
+            tag, payload = chan.collect()
             if tag == wire.TAG_ERR:
                 code, message = wire.decode_error(payload)
                 raise SpawnError(f"worker {idx} failed INIT: [{code}] {message}", index=idx)

@@ -20,7 +20,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import NotEnoughData
+from .errors import NotEnoughData, RolloutError
 from .lander import LanderDesign, PriorSet, sample_design
 
 _STD_NORMAL = NormalDist()
@@ -269,7 +269,9 @@ def run_bo(
     the negated reward. The curve records (wall clock, best value so far) at
     every completion and is therefore nonincreasing in its second column.
     Pass ``history`` to keep the full trial record (e.g. for the study log);
-    it is mutated in place.
+    it is mutated in place. Failed evaluations do not count toward
+    ``n_trials``; once more than ``n_trials`` have failed, RolloutError is
+    raised with the last worker error.
     """
     if batch < 1:
         raise ValueError("batch must be >= 1")
@@ -280,7 +282,8 @@ def run_bo(
     curve: list[tuple[float, float]] = []
     start = clock()
     best = math.inf
-    completed = 0
+    completed = failed = 0
+    last_failure = None
     while completed < n_trials:
         width = min(batch, n_trials - completed)
         pending: list[Trial] = []
@@ -296,15 +299,23 @@ def run_bo(
         pool.reset_some(indices, seeds, options)
         actions = np.zeros((width, pool.act_dim))
         outcomes = pool.step_some(indices, actions, raise_on_error=False)
-        for trial, outcome in zip(pending, outcomes):
+        for slot, (trial, outcome) in enumerate(zip(pending, outcomes)):
             now = clock() - start
             if isinstance(outcome, BaseException):
                 tpe_tell(history, trial, None, t_end=now)
+                failed += 1
+                last_failure = slot, outcome
                 continue
             tpe_tell(history, trial, -outcome.reward, t_end=now)
             completed += 1
             best = min(best, trial.value)
             curve.append((now, best))
+        if failed > n_trials:
+            slot, exc = last_failure
+            raise RolloutError(
+                f"{failed} evaluations failed, more than n_trials={n_trials}; "
+                f"last failure on worker {slot}: {exc!r}"
+            ) from exc
     return best_trial(history), curve
 
 

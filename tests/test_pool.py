@@ -173,6 +173,16 @@ def test_step_index_monotone_and_logical_clocks_agree():
             assert clocks == {batch.step_index}
 
 
+def test_in_process_barrier_latency_spans_all_workers():
+    # The in-process pool runs its workers one after another, so the barrier
+    # lasts at least the two 20 ms pads, as it would from send to last reply
+    # on the socket path; the slowest single handler took only one pad.
+    with spawn_workers("tracker", 2, "in-process", pad_ms=20.0, pad_mode="sleep") as pool:
+        pool.reset_all([0, 1])
+        batch = pool.step_all(np.zeros((2, 12)))
+    assert batch.barrier_latency >= 0.035
+
+
 def test_close_is_idempotent_and_blocks_further_use():
     pool = spawn_workers("tracker", 2, "in-process")
     pool.reset_all([0, 1])

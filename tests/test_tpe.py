@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from rollout_grid.errors import NotEnoughData
+from rollout_grid.errors import NotEnoughData, RolloutError
 from rollout_grid.lander import PriorSet
 from rollout_grid.pool import spawn_workers
 from rollout_grid.tpe import (
@@ -240,6 +240,26 @@ def test_run_bo_continues_past_failed_evaluations():
     assert sum(1 for t in history if t.state == FAILED) > 0
     assert len(curve) == 12
     assert best.value == min(t.value for t in history if t.state == COMPLETE)
+
+
+class FailingPool(FlakyPool):
+    """Pool stub whose every evaluation reports a worker error."""
+
+    def step_some(self, indices, actions, raise_on_error=True):
+        from rollout_grid.errors import WorkerError
+
+        self.calls += 1
+        assert self.calls <= 100, "run_bo kept evaluating past its failure budget"
+        return [WorkerError(1, f"synthetic failure {self.calls}") for _ in self.pending]
+
+
+def test_run_bo_raises_once_failures_exceed_n_trials():
+    pool = FailingPool()
+    history = []
+    with pytest.raises(RolloutError, match=r"4 evaluations failed.*worker 1.*synthetic failure 2"):
+        run_bo(pool, PriorSet(), TpeConfig(), n_trials=3, batch=2, seed=4, history=history)
+    assert pool.calls == 2
+    assert [t.state for t in history] == [FAILED] * 4
 
 
 class TestTrialLog:

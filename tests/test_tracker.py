@@ -1,9 +1,12 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from rollout_grid.core import Episode
+import rollout_grid.tracker as tracker_module
+from rollout_grid.core import Episode, episode_seed, make_rng
 from rollout_grid.tracker import (
     ACT_DIM,
     MIXING_ROW_NORMS,
@@ -21,6 +24,7 @@ from rollout_grid.tracker import (
     tracker_reward,
     tracker_status,
 )
+from rollout_grid.wire import dumps_canonical
 
 CFG = TrackerEnvConfig()
 
@@ -229,3 +233,92 @@ class TestScenario:
             TrackerEnvConfig(tau=0.001).validate()
         with pytest.raises(ValueError):
             TrackerEnvConfig(weights=TrackerWeights(sigma_track=0.0)).validate()
+
+
+def tracker_stream_digest(config, root_seed, action_seed, n_steps):
+    """SHA-256 over an auto-reset stream of Philox-drawn actions, and the episode ends seen.
+
+    Hashes every observation's bytes, ``reward.hex()``, the two flags and the
+    canonical info JSON, plus each reset observation, with the episode seed
+    schedule the worker uses.
+    """
+    digest = hashlib.sha256()
+    actions = make_rng(action_seed)
+    episode = Episode(TrackerScenario(config).spec())
+    episodes = terminations = truncations = 0
+    digest.update(episode.reset(episode_seed(root_seed, 0)).tobytes())
+    for _ in range(n_steps):
+        res = episode.step(actions.uniform(-1.0, 1.0, size=ACT_DIM))
+        digest.update(res.observation.tobytes())
+        digest.update(res.reward.hex().encode())
+        digest.update(bytes([res.terminated, res.truncated]))
+        digest.update(dumps_canonical(res.info))
+        if res.done:
+            terminations += res.terminated
+            truncations += res.truncated
+            episodes += 1
+            digest.update(episode.reset(episode_seed(root_seed, episodes)).tobytes())
+    return digest.hexdigest(), terminations, truncations
+
+
+class TestGoldenStream:
+    # Digests recorded with the tracker as it stood before its step path was
+    # rewritten for speed (dataclasses.replace per tick, numpy scalar math).
+    # A faster step must reproduce every bit: any change in the order or kind
+    # of a float operation shows up here even when the code only compares
+    # with itself elsewhere. Like every bitwise promise of the package, the
+    # digests hold for a fixed numpy and BLAS build.
+    @pytest.mark.parametrize(
+        "config, root_seed, action_seed, n_steps, ends, expected",
+        [
+            # default tracker: two horizon truncations with auto-reset
+            (TrackerEnvConfig(), 2024, 7, 1200, (0, 2),
+             "cafa16059b3c4bbeb5421e74186cb7c2a3833d865fce4ad8dca2b636e055bb39"),
+            # tight speed limit: terminations on loss of control
+            (TrackerEnvConfig(v_limit=0.5), 2025, 8, 600, (13, 0),
+             "ecdf0243675968c4eb5e94ae46ab40b790625b1f7c5eb12de63c428fc919ac79"),
+            # non-zero default offset, two ticks per decision step, short horizon
+            (TrackerEnvConfig(q_default=0.05, steps_per_action=2, sim_dt=0.01, horizon=100),
+             99, 9, 300, (0, 3),
+             "f5f8a7101d55880019fa5072d91d2057f5a0f14d9e50db80191ced60a7b4eb6a"),
+            # non-default weights, negative observation scales among them
+            (TrackerEnvConfig(
+                weights=TrackerWeights(sigma_track=0.5, scale_prev_action=0.25, scale_q=0.5,
+                                       scale_angvel=-0.3, scale_gravity=2.0,
+                                       scale_command=-1.0, w_height=0.8),
+                horizon=150, v_limit=0.7), 31, 4, 700, (1, 4),
+             "6d9190701bd92066e3603f9dba20bc9842088e3cea865d5fdb38b2c1d1a5df08"),
+        ],
+    )
+    def test_stream_matches_golden_digest(self, config, root_seed, action_seed, n_steps, ends,
+                                          expected):
+        digest, terminations, truncations = tracker_stream_digest(
+            config, root_seed, action_seed, n_steps)
+        assert (terminations, truncations) == ends
+        assert digest == expected
+
+
+def test_each_tick_goes_through_module_level_dynamics_step(monkeypatch):
+    # Episode.step runs advance_one steps_per_action times per decision step,
+    # and the tracker routes each tick through the module attribute, so a
+    # patched tracker_dynamics_step sees every tick.
+    config = TrackerEnvConfig(steps_per_action=3)
+    spec = TrackerScenario(config).spec()
+    dynamics_calls = []
+    advance_calls = []
+
+    def counting_dynamics(*args):
+        dynamics_calls.append(args[2])
+        return tracker_dynamics_step(*args)
+
+    def counting_advance(dt):
+        advance_calls.append(dt)
+        spec.advance_one(dt)
+
+    monkeypatch.setattr(tracker_module, "tracker_dynamics_step", counting_dynamics)
+    episode = Episode(dataclasses.replace(spec, advance_one=counting_advance))
+    episode.reset(5)
+    for n in range(1, 8):
+        episode.step(np.full(ACT_DIM, 0.1 * n))
+        assert len(advance_calls) == len(dynamics_calls) == 3 * n
+    assert set(advance_calls) == set(dynamics_calls) == {config.sim_dt}
