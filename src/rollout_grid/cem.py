@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import episode_seed
+from .core import episode_seed, make_rng
 from .errors import ActionShapeError
 
 RETURN_FLOOR = -1e6  # recorded for candidates whose evaluation failed
@@ -160,7 +160,7 @@ def run_cem(
     obs_dim, act_dim = pool.obs_dim, pool.act_dim
     dim = n_params(obs_dim, act_dim)
     state = CemState(mean=np.zeros(dim), stddev=np.full(dim, cfg.sigma_init))
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed & (2**64 - 1))))
+    rng = make_rng(seed)
     curve: list[TrainingPoint] = []
     best_policy = unflatten_policy(state.mean.copy(), obs_dim, act_dim)
     best_mean_return = -math.inf

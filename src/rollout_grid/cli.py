@@ -5,7 +5,7 @@ Driver mode:
     bench <mode> --from-manifest runs/<id>/manifest.json
 
 Worker mode (normally launched by the driver, not by hand):
-    bench --worker --env <name> --connect <host:port>
+    bench --worker --connect <host:port>
 
 Flags override config fields. Exit status is 0 only when the run completed
 every configured trial/iteration/step.
@@ -26,7 +26,6 @@ from .errors import RolloutError
 def _worker_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="bench --worker", add_help=False)
     parser.add_argument("--worker", action="store_true")
-    parser.add_argument("--env", required=False, default=None)
     parser.add_argument("--connect", required=True, metavar="HOST:PORT")
     args = parser.parse_args(argv)
     from .worker import run_socket_worker

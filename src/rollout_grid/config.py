@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import difflib
 import json
+import math
 import typing
 
 from .cem import CemConfig
@@ -114,7 +115,15 @@ def _coerce(value, ftype, path: str):
     if ftype is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValidationError(f"{path}: expected a number")
-        return float(value)
+        # JSON Infinity/NaN, and integers beyond float range, would reach the
+        # workers as null in the INIT frame.
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            raise ValidationError(f"{path}: expected a finite number")
+        return number
     if ftype is str:
         if not isinstance(value, str):
             raise ValidationError(f"{path}: expected a string")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ScenarioSpec, advance_all
+from .core import ScenarioSpec
 from .errors import DivergentDesignError, InvalidParamsError
 
 
@@ -304,8 +304,8 @@ class LanderScenario:
 
     Reset options may carry ``design`` (a mapping with f_y/beta/alpha2;
     defaults to the prior center) and ``drop_height``. The single step
-    ignores its action vector, integrates the touchdown across the whole
-    window, and returns the negated objective as reward with the full
+    ignores its action vector, integrates the touchdown until it settles or
+    the window ends, and returns the negated objective as reward with the full
     touchdown record in the diagnostics. Observation layout, in order:
     [downward speed, stroke used, f_y, alpha2, beta]; right after reset the
     first two entries are (sqrt(2*g*h), 0).
@@ -318,7 +318,6 @@ class LanderScenario:
         self.config = config or LanderEnvConfig()
         self.config.validate()
         self._integ: TouchdownIntegrator | None = None
-        self._advanceables: list = []
         self._design = self.config.priors.center_design()
 
     def spec(self) -> ScenarioSpec:
@@ -347,13 +346,17 @@ class LanderScenario:
             self._design = self.config.priors.center_design()
         drop_height = options.get("drop_height")
         self._integ = TouchdownIntegrator(self._design, self.config.params, drop_height)
-        self._advanceables = [self._integ]
 
     def _apply_action(self, action: np.ndarray) -> None:
         pass  # the design is fixed at reset; there is nothing to actuate
 
+    # Once touchdown has settled, a tick changes nothing that is observed (the
+    # integrator's own sim_time is not), so settled ticks are not dispatched.
+    # advance goes through the instance, so a patch on the class sees each tick.
     def _advance_one(self, dt: float) -> None:
-        advance_all(self._advanceables, dt)
+        integ = self._integ
+        if not integ.done:
+            integ.advance(dt)
 
     def _observe(self) -> np.ndarray:
         d = self._design

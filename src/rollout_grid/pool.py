@@ -165,8 +165,8 @@ class SocketChannel:
         self.alive = False
 
 
-def _spawn_command(env: str, address: str) -> list[str]:
-    return [sys.executable, "-m", "rollout_grid", "--worker", "--env", env, "--connect", address]
+def _spawn_command(address: str) -> list[str]:
+    return [sys.executable, "-m", "rollout_grid", "--worker", "--connect", address]
 
 
 def _subprocess_env() -> dict:
@@ -379,9 +379,7 @@ class WorkerPool:
         if self._restart_spec is None or not isinstance(cause, WorkerLost):
             return None
         self._channels[idx].close(grace_s=0.1)
-        self._channels[idx] = _launch_socket_workers(
-            self.env, [idx], self._restart_spec, self.frame_log
-        )[0]
+        self._channels[idx] = _launch_socket_workers([idx], self._restart_spec, self.frame_log)[0]
         obs = np.zeros(self.obs_dim)
         last = self._last_reset[idx]
         if last is not None:
@@ -416,7 +414,7 @@ class WorkerPool:
                 return self._interpret(*frame, expect), 0.0
 
 
-def _launch_socket_workers(env: str, indices: list[int], init_spec: dict, frame_log):
+def _launch_socket_workers(indices: list[int], init_spec: dict, frame_log):
     """Spawn processes for the given worker indices and complete their INIT.
 
     Workers connect back in arbitrary order; connections are re-paired to
@@ -436,7 +434,7 @@ def _launch_socket_workers(env: str, indices: list[int], init_spec: dict, frame_
             stderr_path = Path(stderr_dir) / f"spawn-{os.getpid()}-{spawn_slot}-{time.monotonic_ns()}.stderr"
             with open(stderr_path, "wb") as stderr_file:
                 proc = subprocess.Popen(
-                    _spawn_command(env, address),
+                    _spawn_command(address),
                     stdout=subprocess.DEVNULL,
                     stderr=stderr_file,
                     env=_subprocess_env(),
@@ -500,11 +498,6 @@ def _launch_socket_workers(env: str, indices: list[int], init_spec: dict, frame_
         raise
     finally:
         listener.close()
-
-
-def close_all(pool: WorkerPool) -> None:
-    """Close every worker in the pool; idempotent, best effort."""
-    pool.close()
 
 
 def spawn_workers(
@@ -573,7 +566,7 @@ def spawn_workers(
     launch_spec["_stderr_dir"] = stderr_dir.name
     launch_spec["_ready_timeout_s"] = ready_timeout_s
     try:
-        channels = _launch_socket_workers(env, list(range(n_workers)), launch_spec, frame_log)
+        channels = _launch_socket_workers(list(range(n_workers)), launch_spec, frame_log)
     except Exception:
         stderr_dir.cleanup()
         raise

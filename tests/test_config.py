@@ -57,6 +57,19 @@ def test_wrong_type_is_validation_error():
         config_from_dict({**MINIMAL, "pad_ms": True})
 
 
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e400", "1" + "0" * 400],
+                         ids=["inf", "-inf", "nan", "1e400", "10**400"])
+def test_non_finite_number_rejected_with_key_path(literal):
+    text = json.dumps({**MINIMAL, "mode": "bo", "env": "lander"})
+    text = text[:-1] + ', "lander": {"params": {"stroke_limit": %s}}}' % literal
+    message = "lander.params.stroke_limit: expected a finite number"
+    with pytest.raises(ValidationError, match=message):
+        parse_config(text)
+    section = json.loads(text)["lander"]
+    with pytest.raises(ValidationError, match=message):
+        env_config_from_dict("lander", section)
+
+
 def test_mode_env_pairing_enforced():
     with pytest.raises(ValidationError):
         config_from_dict({"mode": "bo", "env": "tracker"})

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rollout_grid.core import Episode
+from rollout_grid.core import Episode, make_rng
 from rollout_grid.errors import DivergentDesignError, InvalidParamsError
 from rollout_grid.lander import (
     LanderDesign,
@@ -13,6 +14,7 @@ from rollout_grid.lander import (
     LanderParams,
     LanderScenario,
     PriorSet,
+    TouchdownIntegrator,
     geometry_factor,
     integrate_touchdown,
     objective,
@@ -20,6 +22,7 @@ from rollout_grid.lander import (
     simulate_touchdown_closed_form,
     touchdown_speed,
 )
+from rollout_grid.wire import dumps_canonical
 
 # Independent constant-deceleration kinematics oracle for the reference
 # design: m=1000 kg, g=1.62, h=1 m, 6 legs, vertical struts, f_y=1000 N.
@@ -260,3 +263,103 @@ class TestLanderScenario:
             advance_all([integ], 1e-3)
         assert math.isclose(integ.sim_time, 1.0)
         assert integ.done
+
+
+def evaluation_digest(config, design_seed, n_designs, drop_heights):
+    """SHA-256 over reset and step of lander episodes on designs drawn from the prior box.
+
+    Hashes each reset observation, the step's observation bytes,
+    ``reward.hex()``, both flags and the canonical info JSON; a zero drop
+    height hashes the step's error message instead. Designs cycle through
+    ``drop_heights``. Returns the digest and how many designs bottomed out,
+    did not settle in the window, and dropped from zero height.
+    """
+    digest = hashlib.sha256()
+    draws = make_rng(design_seed)
+    episode = Episode(LanderScenario(config).spec())
+    bottomed = unsettled = zero_drop = 0
+    for k in range(n_designs):
+        design = sample_design(config.priors, draws)
+        h = drop_heights[k % len(drop_heights)]
+        digest.update(episode.reset(k, {"design": design.as_dict(), "drop_height": h}).tobytes())
+        if h == 0.0:
+            # No impact energy: the objective is undefined and the step says so.
+            with pytest.raises(InvalidParamsError) as excinfo:
+                episode.step(np.zeros(3))
+            digest.update(str(excinfo.value).encode())
+            zero_drop += 1
+            continue
+        res = episode.step(np.zeros(3))
+        digest.update(res.observation.tobytes())
+        digest.update(res.reward.hex().encode())
+        digest.update(bytes([res.terminated, res.truncated]))
+        digest.update(dumps_canonical(res.info))
+        bottomed += res.info["bottomed_out"]
+        unsettled += res.truncated
+    return digest.hexdigest(), bottomed, unsettled, zero_drop
+
+
+class TestGoldenEvaluations:
+    # Digests recorded with the lander as it stood before settled ticks
+    # stopped being dispatched (every tick went through advance_all, also
+    # after touchdown). Observation, reward and info must not move a bit.
+    @pytest.mark.parametrize(
+        "config, design_seed, n_designs, drop_heights, counts, expected",
+        [
+            # default prior box and window; every seventh drop from zero height
+            (LanderEnvConfig(), 11, 140, (1.0, 1.0, 0.4, 1.0, 2.5, 1.0, 0.0), (64, 0, 20),
+             "795f14449e887b00efd1b80a780a1995ad670b89c8595e6ee0a279f9554fb843"),
+            # coarse tick, short window, short stroke: some designs bottom out, slow ones
+            # are cut off unsettled
+            (LanderEnvConfig(sim_dt=2e-3, window_s=0.15,
+                             params=LanderParams(stroke_limit=0.3, n_legs=4)),
+             12, 60, (1.0, 0.0, 1.5), (13, 22, 20),
+             "675a8dd893899c87b3624398ae0b958872a5367313f6c4ee8f16e8dba4d86990"),
+        ],
+    )
+    def test_evaluations_match_golden_digest(self, config, design_seed, n_designs, drop_heights,
+                                             counts, expected):
+        digest, *seen = evaluation_digest(config, design_seed, n_designs, drop_heights)
+        assert tuple(seen) == counts
+        assert digest == expected
+
+
+def test_settled_lander_dispatches_no_ticks(monkeypatch):
+    # Once touchdown has settled, the step dispatches no further integrator
+    # ticks; the count per step equals the ticks a bare integrator needs to
+    # settle, which is far below the 2000-tick window. The second design
+    # bottoms out; the last drops from zero height and is settled at reset.
+    cases = [(REF_DESIGN, 1.0), (LanderDesign(f_y=150.0, beta=0.3, alpha2=1.0), 1.0),
+             (LanderDesign(f_y=8000.0, beta=0.1, alpha2=0.2), 2.0), (REF_DESIGN, 0.0)]
+    config = LanderEnvConfig()
+    expected = []
+    for design, h in cases:
+        integ = TouchdownIntegrator(design, config.params, h)
+        ticks = 0
+        while not integ.done:
+            integ.advance(config.sim_dt)
+            ticks += 1
+        expected.append(ticks)
+    assert max(expected) < 2000 and expected[-1] == 0
+
+    calls = []
+    advance = TouchdownIntegrator.advance
+
+    def counting_advance(integ, dt):
+        calls.append(dt)
+        advance(integ, dt)
+
+    monkeypatch.setattr(TouchdownIntegrator, "advance", counting_advance)
+    episode = Episode(LanderScenario(config).spec())
+    seen = []
+    for design, h in cases:
+        episode.reset(0, {"design": design.as_dict(), "drop_height": h})
+        before = len(calls)
+        if h == 0.0:
+            with pytest.raises(InvalidParamsError):  # no impact energy, no objective
+                episode.step(np.zeros(3))
+        else:
+            assert episode.step(np.zeros(3)).terminated
+        seen.append(len(calls) - before)
+    assert seen == expected
+    assert set(calls) == {config.sim_dt}

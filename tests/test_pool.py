@@ -63,16 +63,6 @@ def test_doubling_n_s_halves_round_trips_for_same_sim_time():
     assert counts[2][0] == counts[1][0] // 2
 
 
-def test_close_all_module_function():
-    from rollout_grid.pool import close_all
-
-    pool = spawn_workers("tracker", 1, "in-process")
-    close_all(pool)
-    close_all(pool)
-    with pytest.raises(RolloutError):
-        pool.step_all(np.zeros((1, 12)))
-
-
 def test_auto_reset_emits_final_observation():
     env_config = {"horizon": 3}
     with spawn_workers("tracker", 1, "in-process", env_config=env_config) as pool:

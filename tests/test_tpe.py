@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -275,3 +277,48 @@ class TestTrialLog:
         replayed = read_trial_log(path)
         assert [t.value for t in replayed] == [2.0, 0.5, 1.5]
         assert best_trial(replayed).value == 0.5
+
+
+def study_digest(priors, cfg, seed, batch):
+    """SHA-256 over the trial log of a 60-trial ``run_bo`` study, and its best value.
+
+    Evaluations run on in-process lander workers, and the clock is a counter,
+    so ``t_start``/``t_end`` (which break value ties in the split) are
+    reproducible too. Every float is hashed by its ``hex()``.
+    """
+    history = []
+    with spawn_workers("lander", batch, "in-process") as pool:
+        best, _ = run_bo(pool, priors, cfg, n_trials=60, batch=batch, seed=seed,
+                         clock=itertools.count().__next__, history=history)
+    digest = hashlib.sha256()
+    for t in history:
+        fields = [t.index, t.state, t.t_start, t.t_end, t.value.hex()]
+        fields += [t.params[k].hex() for k in ("f_y", "beta", "alpha2")]
+        digest.update(repr(fields).encode())
+    return digest.hexdigest(), best.value
+
+
+class TestGoldenProposals:
+    # Digests recorded with the TPE as it stood before its ask was batched
+    # (per-candidate pdf loops, NormalDist().cdf, rng.uniform). Every
+    # proposal, and so every trial value, must come out bit for bit the same.
+    @pytest.mark.parametrize(
+        "priors, cfg, seed, batch, expected",
+        [
+            # log-scale f_y, default config: n_startup 10 < n_candidates 24
+            (PriorSet(), TpeConfig(), 2024, 1,
+             "a25c24344e2a9f9f51c75a43bbca981f6e22a26077581bb39198b4cac0f0d1ae"),
+            # degenerate f_y interval, a small wide split, batched asks
+            (PriorSet(f_y=(2500.0, 2500.0), beta=(0.05, 0.5)),
+             TpeConfig(n_startup=3, gamma=0.4, n_candidates=7), 77, 2,
+             "3cdf7834a5e2b60726df675119d2783ece1247414af91e526fad3125c354b1af"),
+            # degenerate angle interval, log-scale f_y, many candidates
+            (PriorSet(f_y=(3e2, 8e3), beta=(0.3, 0.3)),
+             TpeConfig(n_startup=5, gamma=0.15, n_candidates=40), 5, 1,
+             "e8139cb11bebffea52817e6878dbc9b5a20f4b3c05ebb9719f2df9cd94cfd4b9"),
+        ],
+    )
+    def test_study_matches_golden_digest(self, priors, cfg, seed, batch, expected):
+        digest, best = study_digest(priors, cfg, seed, batch)
+        assert math.isfinite(best)
+        assert digest == expected
