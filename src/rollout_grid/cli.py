@@ -5,7 +5,7 @@ Driver mode:
     bench <mode> --from-manifest runs/<id>/manifest.json
 
 Worker mode (normally launched by the driver, not by hand):
-    bench --worker --connect <host:port>
+    bench --worker --fd <N>   (N: an inherited socket connected to the driver)
 
 Flags override config fields. Exit status is 0 only when the run completed
 every configured trial/iteration/step.
@@ -26,11 +26,11 @@ from .errors import RolloutError
 def _worker_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="bench --worker", add_help=False)
     parser.add_argument("--worker", action="store_true")
-    parser.add_argument("--connect", required=True, metavar="HOST:PORT")
+    parser.add_argument("--fd", type=int, required=True, metavar="N")
     args = parser.parse_args(argv)
     from .worker import run_socket_worker
 
-    return run_socket_worker(args.connect)
+    return run_socket_worker(args.fd)
 
 
 def _build_parser() -> argparse.ArgumentParser:

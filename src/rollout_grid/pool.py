@@ -5,7 +5,7 @@ batch of frames, then blocks until every addressed worker replied (the
 barrier); replies may arrive in any order and are reordered by worker index.
 Two transports share the frame codec bit for bit: ``in-process`` runs each
 worker runtime synchronously inside the driver process, ``socket`` launches
-one subprocess per worker connected over a loopback TCP stream. A pool with
+one subprocess per worker, each holding one end of its own socket pair. A pool with
 one worker is therefore observationally identical to serial scenario calls.
 
 Fault policy is fail-fast: a barrier timeout aborts the batch and poisons
@@ -16,7 +16,6 @@ affected slot reports a floor-reward terminal transition for that batch.
 
 from __future__ import annotations
 
-import json
 import os
 import selectors
 import socket
@@ -35,6 +34,7 @@ from .errors import (
     ActionShapeError,
     BarrierTimeout,
     BatchError,
+    FrameError,
     ProtocolError,
     RolloutError,
     SpawnError,
@@ -105,7 +105,7 @@ class InProcessChannel:
 
 
 class SocketChannel:
-    """One worker subprocess behind a loopback TCP stream."""
+    """One worker subprocess behind the driver's end of a socket pair."""
 
     def __init__(self, proc: subprocess.Popen, conn: socket.socket, stderr_path: Path,
                  frame_log: list | None = None, log_index: int = -1):
@@ -165,8 +165,8 @@ class SocketChannel:
         self.alive = False
 
 
-def _spawn_command(address: str) -> list[str]:
-    return [sys.executable, "-m", "rollout_grid", "--worker", "--connect", address]
+def _spawn_command(fd: int) -> list[str]:
+    return [sys.executable, "-m", "rollout_grid", "--worker", "--fd", str(fd)]
 
 
 def _subprocess_env() -> dict:
@@ -183,7 +183,8 @@ class WorkerPool:
     def __init__(self, env: str, n_workers: int, transport: str, channels: list,
                  obs_dim: int, act_dim: int, n_s: int, step_timeout_s: float,
                  reward_floor: float, restart_spec: dict | None, frame_log: list | None,
-                 stderr_dir: tempfile.TemporaryDirectory | None = None):
+                 stderr_dir: tempfile.TemporaryDirectory | None = None,
+                 ready_timeout_s: float = DEFAULT_READY_TIMEOUT_S):
         self.env = env
         self.n_workers = n_workers
         self.transport = transport
@@ -196,6 +197,12 @@ class WorkerPool:
         self._channels = channels
         self._restart_spec = restart_spec  # INIT payload template, or None
         self._stderr_dir = stderr_dir
+        self._ready_timeout_s = ready_timeout_s
+        # Socket channels stay registered across barriers. A channel leaves the
+        # selector when it fails or turns readable unasked, and rejoins when a
+        # barrier next addresses it; every channel starts out unregistered.
+        self._selector = selectors.DefaultSelector() if transport == "socket" else None
+        self._unwatched: set[int] = set(range(n_workers)) if transport == "socket" else set()
         self._closed = False
         self._poisoned = False
         self._step_counter = 0
@@ -243,6 +250,8 @@ class WorkerPool:
                     chan.send(close_frame)
                 except RolloutError:
                     pass
+        if self._selector is not None:
+            self._selector.close()
         for chan in self._channels:
             chan.close()
         if self._stderr_dir is not None:
@@ -325,42 +334,49 @@ class WorkerPool:
                 outcomes[slot_of[idx]] = self._interpret(*self._channels[idx].collect(), expect)
             return outcomes, latency
 
+        for idx in self._unwatched & pending:
+            self._selector.register(self._channels[idx].conn, selectors.EVENT_READ, idx)
+            self._unwatched.discard(idx)
         deadline = start + self.step_timeout_s
-        sel = selectors.DefaultSelector()
-        for idx in pending:
-            sel.register(self._channels[idx].conn, selectors.EVENT_READ, idx)
-        try:
-            while pending:
-                budget = deadline - time.perf_counter()
-                if budget <= 0:
-                    self._poisoned = True
-                    raise BarrierTimeout(sorted(pending), self.step_timeout_s)
-                for key, _ in sel.select(timeout=budget):
-                    idx = key.data
-                    chan = self._channels[idx]
-                    try:
-                        frame = chan.on_readable()
-                    except WorkerLost as exc:
-                        sel.unregister(chan.conn)
-                        pending.discard(idx)
-                        outcomes[slot_of[idx]] = WorkerLost(
-                            f"worker {idx} died: {exc}; stderr tail: {chan.stderr_tail() or '<empty>'}"
-                        )
-                        continue
+        while pending:
+            budget = deadline - time.perf_counter()
+            if budget <= 0:
+                self._poisoned = True
+                raise BarrierTimeout(sorted(pending), self.step_timeout_s)
+            for key, _ in self._selector.select(timeout=budget):
+                idx = key.data
+                if idx not in pending:
+                    # Readable while unasked: it died or broke protocol. The
+                    # next barrier that addresses it reports that.
+                    self._unwatch(idx)
+                    continue
+                chan = self._channels[idx]
+                try:
+                    frame = chan.on_readable()
                     if frame is None:
                         continue
-                    sel.unregister(chan.conn)
-                    pending.discard(idx)
+                except WorkerLost as exc:
+                    self._unwatch(idx)
+                    outcome = WorkerLost(
+                        f"worker {idx} died: {exc}; stderr tail: {chan.stderr_tail() or '<empty>'}"
+                    )
+                except (FrameError, ProtocolError) as exc:
+                    self._unwatch(idx)
+                    outcome = ProtocolError(f"worker {idx} sent a corrupt frame: {exc}")
+                else:
                     latency = max(latency, time.perf_counter() - start)
                     if chan.reader.pending_bytes:
-                        outcomes[slot_of[idx]] = ProtocolError(
-                            f"worker {idx} sent trailing bytes after its reply"
-                        )
-                        continue
-                    outcomes[slot_of[idx]] = self._interpret(*frame, expect)
-        finally:
-            sel.close()
+                        outcome = ProtocolError(f"worker {idx} sent trailing bytes after its reply")
+                    else:
+                        outcome = self._interpret(*frame, expect)
+                pending.discard(idx)
+                outcomes[slot_of[idx]] = outcome
         return outcomes, latency
+
+    def _unwatch(self, idx: int) -> None:
+        if idx not in self._unwatched:
+            self._selector.unregister(self._channels[idx].conn)
+            self._unwatched.add(idx)
 
     @staticmethod
     def _interpret(tag: int, payload: bytes, expect: int):
@@ -378,15 +394,22 @@ class WorkerPool:
         """
         if self._restart_spec is None or not isinstance(cause, WorkerLost):
             return None
+        self._unwatch(idx)  # the next barrier registers the new channel
         self._channels[idx].close(grace_s=0.1)
-        self._channels[idx] = _launch_socket_workers([idx], self._restart_spec, self.frame_log)[0]
+        self._channels[idx] = _launch_socket_workers(
+            [idx], self._restart_spec, self.frame_log, self._stderr_dir.name, self._ready_timeout_s
+        )[0]
         obs = np.zeros(self.obs_dim)
         last = self._last_reset[idx]
         if last is not None:
             seed, options = last
             frame = wire.encode_frame(wire.TAG_RESET, wire.encode_reset(seed, options))
-            self._channels[idx].send(frame)
-            outcome, _ = self._collect_one(idx, wire.TAG_RESETRES, self.step_timeout_s)
+            try:
+                self._channels[idx].send(frame)
+                outcome = self._interpret(*_await_frame(self._channels[idx], self.step_timeout_s),
+                                          wire.TAG_RESETRES)
+            except (WorkerLost, FrameError, ProtocolError) as exc:
+                outcome = exc
             if not isinstance(outcome, BaseException):
                 obs = wire.decode_vector(outcome)[0]
         return StepResult(
@@ -397,107 +420,80 @@ class WorkerPool:
             info={"restarted": True, "cause": str(cause)},
         )
 
-    def _collect_one(self, idx: int, expect: int, timeout_s: float):
-        chan = self._channels[idx]
-        deadline = time.perf_counter() + timeout_s
-        while True:
-            if time.perf_counter() > deadline:
-                return BarrierTimeout([idx], timeout_s), 0.0
-            chan.conn.settimeout(max(0.01, deadline - time.perf_counter()))
-            try:
-                frame = chan.on_readable()
-            except (WorkerLost, OSError) as exc:
-                return WorkerLost(str(exc)), 0.0
-            finally:
-                chan.conn.settimeout(None)
-            if frame is not None:
-                return self._interpret(*frame, expect), 0.0
 
-
-def _launch_socket_workers(indices: list[int], init_spec: dict, frame_log):
-    """Spawn processes for the given worker indices and complete their INIT.
-
-    Workers connect back in arbitrary order; connections are re-paired to
-    their processes via the pid echoed in READY, so kill/stderr/restart
-    always target the process actually behind the channel.
-    """
-    stderr_dir = init_spec["_stderr_dir"]
-    ready_timeout_s = init_spec.get("_ready_timeout_s", DEFAULT_READY_TIMEOUT_S)
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    procs: list[tuple[subprocess.Popen, Path]] = []
-    conns: list[socket.socket] = []
+def _await_frame(chan: SocketChannel, timeout_s: float) -> tuple[int, bytes]:
+    """Block until ``chan`` completes one frame; WorkerLost on EOF, error or timeout."""
+    deadline = time.perf_counter() + timeout_s
     try:
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(len(indices))
-        address = "127.0.0.1:%d" % listener.getsockname()[1]
-        for spawn_slot in range(len(indices)):
-            stderr_path = Path(stderr_dir) / f"spawn-{os.getpid()}-{spawn_slot}-{time.monotonic_ns()}.stderr"
-            with open(stderr_path, "wb") as stderr_file:
+        while True:
+            budget = deadline - time.perf_counter()
+            if budget <= 0:
+                raise WorkerLost(f"no complete frame within {timeout_s:.1f}s")
+            chan.conn.settimeout(budget)
+            frame = chan.on_readable()
+            if frame is not None:
+                return frame
+    finally:
+        chan.conn.settimeout(None)
+
+
+def _launch_socket_workers(indices: list[int], init_spec: dict, frame_log,
+                           stderr_dir: str, ready_timeout_s: float) -> list[SocketChannel]:
+    """Spawn one process per worker index and complete their INIT.
+
+    Each worker gets its own socket pair. The child inherits one end and the
+    parent closes its copy of that end, so a worker's death reads as EOF at
+    once. Each channel is bound to its process from the start.
+    """
+    conns: list[socket.socket] = []
+    channels: list[SocketChannel] = []
+    try:
+        for idx in indices:
+            conn, child_end = socket.socketpair()
+            conns.append(conn)
+            stderr_path = Path(stderr_dir) / f"worker-{idx}-{time.monotonic_ns()}.stderr"
+            with child_end, open(stderr_path, "wb") as stderr_file:
                 proc = subprocess.Popen(
-                    _spawn_command(address),
+                    _spawn_command(child_end.fileno()),
                     stdout=subprocess.DEVNULL,
                     stderr=stderr_file,
                     env=_subprocess_env(),
+                    pass_fds=(child_end.fileno(),),
                 )
-            procs.append((proc, stderr_path))
+            channels.append(SocketChannel(proc, conn, stderr_path, frame_log, idx))
+
+        for idx, chan in zip(indices, channels):
+            init = dict(init_spec)
+            init["worker_index"] = idx
+            try:
+                chan.send(wire.encode_frame(wire.TAG_INIT, wire.dumps_canonical(init)))
+            except WorkerLost as exc:
+                raise SpawnError(f"worker {idx} could not receive INIT: {exc}", index=idx) from exc
 
         deadline = time.perf_counter() + ready_timeout_s
-        for idx in indices:
-            listener.settimeout(max(0.1, deadline - time.perf_counter()))
+        for idx, chan in zip(indices, channels):
             try:
-                conn, _ = listener.accept()
-            except socket.timeout:
+                tag, payload = _await_frame(chan, deadline - time.perf_counter())
+            except WorkerLost as exc:
                 raise SpawnTimeout(
-                    f"worker {idx} did not connect within {ready_timeout_s:.0f}s", index=idx
-                )
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conns.append(conn)
-
-        for conn, idx in zip(conns, indices):
-            init = {k: v for k, v in init_spec.items() if not k.startswith("_")}
-            init["worker_index"] = idx
-            frame = wire.encode_frame(wire.TAG_INIT, wire.dumps_canonical(init))
-            if frame_log is not None:
-                frame_log.append(("send", idx, frame))
-            conn.sendall(frame)
-
-        by_pid = {proc.pid: (proc, path) for proc, path in procs}
-        channels = []
-        for conn, idx in zip(conns, indices):
-            conn.settimeout(max(0.1, deadline - time.perf_counter()))
-            try:
-                tag, payload = wire.read_frame_blocking(conn)
-            except (socket.timeout, EOFError) as exc:
-                raise SpawnTimeout(
-                    f"worker {idx} did not acknowledge INIT: {exc}", index=idx
+                    f"worker {idx} did not acknowledge INIT within {ready_timeout_s:.0f}s: {exc}; "
+                    f"stderr tail: {chan.stderr_tail() or '<empty>'}", index=idx
                 ) from exc
-            finally:
-                conn.settimeout(None)
+            except (FrameError, ProtocolError) as exc:
+                raise SpawnError(f"worker {idx} sent a corrupt frame: {exc}", index=idx) from exc
             if tag == wire.TAG_ERR:
                 code, message = wire.decode_error(payload)
                 raise SpawnError(f"worker {idx} failed INIT: [{code}] {message}", index=idx)
             if tag != wire.TAG_READY:
                 raise SpawnError(f"worker {idx} sent tag 0x{tag:02X} instead of READY", index=idx)
-            pid = json.loads(payload.decode()).get("pid")
-            if pid not in by_pid:
-                raise SpawnError(f"worker {idx} reported unknown pid {pid}", index=idx)
-            proc, stderr_path = by_pid.pop(pid)
-            if frame_log is not None:
-                frame_log.append(("recv", idx, wire.encode_frame(tag, payload)))
-            channels.append(SocketChannel(proc, conn, stderr_path, frame_log, idx))
         return channels
     except Exception:
         for conn in conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        for proc, _ in procs:
-            if proc.poll() is None:
-                proc.kill()
+            conn.close()
+        for chan in channels:
+            if chan.proc.poll() is None:
+                chan.proc.kill()
         raise
-    finally:
-        listener.close()
 
 
 def spawn_workers(
@@ -562,14 +558,13 @@ def spawn_workers(
                           step_timeout, reward_floor, None, frame_log)
 
     stderr_dir = tempfile.TemporaryDirectory(prefix="rollout-grid-")
-    launch_spec = dict(init_spec)
-    launch_spec["_stderr_dir"] = stderr_dir.name
-    launch_spec["_ready_timeout_s"] = ready_timeout_s
     try:
-        channels = _launch_socket_workers(list(range(n_workers)), launch_spec, frame_log)
+        channels = _launch_socket_workers(list(range(n_workers)), init_spec, frame_log,
+                                          stderr_dir.name, ready_timeout_s)
     except Exception:
         stderr_dir.cleanup()
         raise
-    restart_spec = launch_spec if restart_on_failure else None
+    restart_spec = init_spec if restart_on_failure else None
     return WorkerPool(env, n_workers, transport, channels, obs_dim, act_dim, n_s,
-                      step_timeout, reward_floor, restart_spec, frame_log, stderr_dir)
+                      step_timeout, reward_floor, restart_spec, frame_log, stderr_dir,
+                      ready_timeout_s)

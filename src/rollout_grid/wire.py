@@ -37,7 +37,9 @@ KNOWN_TAGS = frozenset(
     {TAG_INIT, TAG_RESET, TAG_STEP, TAG_CLOSE, TAG_READY, TAG_RESETRES, TAG_STEPRES, TAG_ERR}
 )
 
-MAX_PAYLOAD = 2**32 - 2
+# Largest declared length (tag byte + payload) of a frame. Real frames are a
+# few KB; a larger prefix means a corrupt stream, not a frame to wait for.
+MAX_FRAME_LENGTH = 2**26
 
 # Stable error codes carried in ERR frames.
 ERROR_CODES = {
@@ -54,6 +56,11 @@ GENERIC_ERROR_CODE = 1
 
 
 def _sanitize(value):
+    kind = type(value)
+    if kind is float:
+        return value if math.isfinite(value) else None
+    if kind is int or kind is str or kind is bool or value is None:
+        return value
     if isinstance(value, dict):
         return {str(k): _sanitize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -70,15 +77,20 @@ def _sanitize(value):
     return value
 
 
+# Same settings as json.dumps(..., sort_keys=True, separators=(",", ":")),
+# built once instead of on every call.
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps_canonical(obj: dict) -> bytes:
     """Canonical JSON bytes: sorted keys, compact, no NaN/Infinity tokens."""
-    return json.dumps(_sanitize(obj), sort_keys=True, separators=(",", ":")).encode()
+    return _CANONICAL_ENCODER.encode(_sanitize(obj)).encode()
 
 
 def encode_frame(tag: int, payload: bytes = b"") -> bytes:
     if tag not in KNOWN_TAGS:
         raise ProtocolError(f"unknown tag 0x{tag:02X}")
-    if len(payload) > MAX_PAYLOAD:
+    if 1 + len(payload) > MAX_FRAME_LENGTH:
         raise FrameError(f"payload of {len(payload)} bytes exceeds the frame limit")
     return struct.pack("<I", 1 + len(payload)) + bytes([tag]) + payload
 
@@ -156,7 +168,11 @@ def decode_error(payload: bytes) -> tuple[int, str]:
 
 
 class FrameReader:
-    """Incremental frame extraction from a byte stream."""
+    """Incremental frame extraction from a byte stream.
+
+    A declared length above ``MAX_FRAME_LENGTH`` raises ``FrameError`` as soon
+    as its prefix is buffered, instead of waiting for bytes that never come.
+    """
 
     def __init__(self):
         self._buf = bytearray()
@@ -166,34 +182,19 @@ class FrameReader:
 
     def next_frame(self) -> tuple[int, bytes] | None:
         """Pop one frame if a complete one is buffered."""
-        if len(self._buf) < 4:
+        buf = self._buf
+        if len(buf) < 4:
             return None
-        (length,) = struct.unpack_from("<I", self._buf, 0)
+        (length,) = struct.unpack_from("<I", buf, 0)
+        if length > MAX_FRAME_LENGTH:
+            raise FrameError(f"declared frame length {length} exceeds {MAX_FRAME_LENGTH}")
         total = 4 + length
-        if len(self._buf) < total:
+        if len(buf) < total:
             return None
-        frame = bytes(self._buf[:total])
-        del self._buf[:total]
+        frame = bytes(buf[:total])
+        del buf[:total]
         return decode_frame(frame)
 
     @property
     def pending_bytes(self) -> int:
         return len(self._buf)
-
-
-def read_frame_blocking(sock) -> tuple[int, bytes]:
-    """Read exactly one frame from a blocking socket; EOFError on clean close."""
-    header = _recv_exact(sock, 4)
-    (length,) = struct.unpack("<I", header)
-    body = _recv_exact(sock, length)
-    return decode_frame(header + body)
-
-
-def _recv_exact(sock, n: int) -> bytes:
-    chunks = bytearray()
-    while len(chunks) < n:
-        chunk = sock.recv(n - len(chunks))
-        if not chunk:
-            raise EOFError("connection closed mid-frame" if chunks else "connection closed")
-        chunks.extend(chunk)
-    return bytes(chunks)

@@ -133,21 +133,18 @@ class WorkerRuntime:
             time.sleep(self._pad_s)
 
 
-def run_socket_worker(address: str) -> int:
-    """Connect to the driver and serve frames until CLOSE or disconnect."""
-    host, _, port = address.rpartition(":")
-    sock = socket.create_connection((host or "127.0.0.1", int(port)))
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+def run_socket_worker(fd: int) -> int:
+    """Serve frames on the inherited socket ``fd`` until CLOSE or disconnect."""
     runtime = WorkerRuntime()
-    try:
+    reader = wire.FrameReader()
+    with socket.socket(fileno=fd) as sock:
         while True:
-            try:
-                tag, payload = wire.read_frame_blocking(sock)
-            except EOFError:
+            data = sock.recv(65536)
+            if not data:
                 return 0
-            reply = runtime.handle_frame(tag, payload)
-            if reply is None:
-                return 0
-            sock.sendall(reply)
-    finally:
-        sock.close()
+            reader.feed(data)
+            while (frame := reader.next_frame()) is not None:
+                reply = runtime.handle_frame(*frame)
+                if reply is None:
+                    return 0
+                sock.sendall(reply)

@@ -1,14 +1,18 @@
+import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
+from rollout_grid import pool as pool_module
 from rollout_grid import wire
 from rollout_grid.core import Episode, episode_seed
 from rollout_grid.errors import (
     ActionShapeError,
     BarrierTimeout,
     BatchError,
+    ProtocolError,
     RolloutError,
     SpawnError,
     WorkerError,
@@ -287,5 +291,61 @@ def test_dead_worker_without_restart_is_batch_error():
         with pytest.raises(BatchError) as excinfo:
             pool.step_all(np.zeros((2, 12)))
         assert excinfo.value.failed_indices == [1]
+    finally:
+        pool.close()
+
+
+def test_killed_socket_worker_fails_its_slot_promptly():
+    # EOF reaches the driver only if it holds no copy of the worker's socket end.
+    pool = spawn_workers("tracker", 2, "socket", pad_ms=500.0, step_timeout_s=30)
+    try:
+        pool.reset_all([5, 6])
+        killer = threading.Timer(0.1, pool._channels[0].proc.kill)
+        killer.start()
+        t0 = time.perf_counter()
+        with pytest.raises(BatchError) as excinfo:
+            pool.step_all(np.zeros((2, 12)))
+        elapsed = time.perf_counter() - t0
+        killer.join()
+        assert excinfo.value.failed_indices == [0]
+        assert "worker 0 died" in str(excinfo.value.outcomes[0])
+        assert elapsed < 2.0
+    finally:
+        pool.close()
+
+
+# Serves INIT and RESET like a real worker, then sends every STEP reply with a
+# length prefix of about 4 GiB.
+CORRUPTING_WORKER = """
+import socket, sys
+from rollout_grid import wire
+from rollout_grid.worker import WorkerRuntime
+runtime, reader = WorkerRuntime(), wire.FrameReader()
+with socket.socket(fileno=int(sys.argv[1])) as sock:
+    while data := sock.recv(65536):
+        reader.feed(data)
+        while (frame := reader.next_frame()) is not None:
+            reply = runtime.handle_frame(*frame)
+            if reply is None:
+                sys.exit(0)
+            if frame[0] == wire.TAG_STEP:
+                reply = b"\\xf0\\xff\\xff\\xff" + reply[4:]
+            sock.sendall(reply)
+"""
+
+
+def test_corrupt_length_prefix_fails_the_slot_at_once(monkeypatch):
+    monkeypatch.setattr(pool_module, "_spawn_command",
+                        lambda fd: [sys.executable, "-c", CORRUPTING_WORKER, str(fd)])
+    pool = spawn_workers("tracker", 1, "socket", step_timeout_s=5)
+    try:
+        pool.reset_all([5])
+        t0 = time.perf_counter()
+        with pytest.raises(BatchError) as excinfo:
+            pool.step_all(np.zeros((1, 12)))
+        assert time.perf_counter() - t0 < 2.0
+        (err,) = excinfo.value.outcomes
+        assert isinstance(err, ProtocolError)
+        assert "worker 0" in str(err) and "exceeds" in str(err)
     finally:
         pool.close()

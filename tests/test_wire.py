@@ -1,3 +1,8 @@
+import json
+import math
+import socket
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +10,7 @@ from hypothesis import strategies as st
 
 from rollout_grid import wire
 from rollout_grid.errors import FrameError, ProtocolError
+from rollout_grid.worker import run_socket_worker
 
 
 def test_close_frame_bytes():
@@ -110,3 +116,112 @@ def test_vector_round_trip_property(values):
     vec = np.asarray(values, dtype=np.float64)
     out, _ = wire.decode_vector(wire.encode_vector(vec))
     assert np.array_equal(out, vec)
+
+
+frame_streams = st.lists(
+    st.tuples(st.sampled_from(sorted(wire.KNOWN_TAGS)), st.binary(max_size=300)), max_size=12
+)
+
+
+@given(frames=frame_streams, data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_frame_reader_any_fragmentation_property(frames, data):
+    stream = b"".join(wire.encode_frame(tag, payload) for tag, payload in frames)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=20)))
+    reader = wire.FrameReader()
+    decoded = []
+    for start, end in zip([0] + cuts, cuts + [len(stream)]):
+        reader.feed(stream[start:end])
+        while (frame := reader.next_frame()) is not None:
+            decoded.append(frame)
+    assert decoded == frames
+    assert reader.pending_bytes == 0
+
+
+def test_frame_reader_rejects_oversized_length_at_once():
+    at_cap = wire.FrameReader()
+    at_cap.feed(wire.MAX_FRAME_LENGTH.to_bytes(4, "little") + bytes([wire.TAG_STEP]))
+    assert at_cap.next_frame() is None  # a legal length: wait for the rest
+    reader = wire.FrameReader()
+    reader.feed(b"\xf0\xff\xff\xff" + bytes([wire.TAG_STEPRES]))
+    with pytest.raises(FrameError, match="exceeds"):
+        reader.next_frame()
+
+
+def test_worker_read_loop_rejects_corrupt_length_prefix():
+    driver_end, worker_end = socket.socketpair()
+    outcome = []
+
+    def serve():
+        try:
+            outcome.append(run_socket_worker(worker_end.detach()))
+        except Exception as exc:
+            outcome.append(exc)
+
+    with driver_end:
+        driver_end.sendall(b"\xf0\xff\xff\xff" + bytes([wire.TAG_STEP]))
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        thread.join(timeout=2.0)
+        assert not thread.is_alive(), "worker kept waiting for a 4 GiB frame"
+    assert isinstance(outcome[0], FrameError)
+
+
+def _reference_sanitize(value):
+    # dumps_canonical's sanitizer before its exact-type fast path.
+    if isinstance(value, dict):
+        return {str(k): _reference_sanitize(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_sanitize(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [_reference_sanitize(v) for v in value.tolist()]
+    if isinstance(value, (np.floating, float)):
+        v = float(value)
+        return v if math.isfinite(v) else None
+    if isinstance(value, (np.bool_, bool)):
+        return bool(value)
+    if isinstance(value, (np.integer, int)):
+        return int(value)
+    return value
+
+
+def _reference_dumps(obj) -> bytes:
+    return json.dumps(_reference_sanitize(obj), sort_keys=True, separators=(",", ":")).encode()
+
+
+special_floats = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308])
+wire_scalars = st.one_of(
+    st.floats(width=64),
+    special_floats,
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=8),
+    st.floats(width=64).map(np.float64),
+    special_floats.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.integers(min_value=0, max_value=255).map(np.uint8),
+    st.booleans().map(np.bool_),
+)
+wire_values = st.recursive(
+    wire_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=5),
+        st.lists(st.one_of(st.floats(width=64), special_floats), max_size=6).map(np.array),
+    ),
+    max_leaves=30,
+)
+wire_maps = st.dictionaries(
+    st.one_of(st.text(max_size=6), st.integers(-5, 5)), wire_values, max_size=6
+)
+
+
+@given(info=wire_maps, final=st.lists(st.one_of(st.floats(width=64), special_floats), max_size=45))
+@settings(max_examples=400, deadline=None)
+def test_dumps_canonical_bytes_match_reference(info, final):
+    assert wire.dumps_canonical(info) == _reference_dumps(info)
+    info = dict(info, final_observation=final, worker_step=2**53 + 1)
+    assert wire.dumps_canonical(info) == _reference_dumps(info)
