@@ -16,7 +16,6 @@ from .core import (
     EpisodeClock,
     ScenarioSpec,
     StepResult,
-    advance_all,
     episode_seed,
     validate_action,
 )
@@ -34,7 +33,7 @@ from .lander import (
 )
 from .pool import BatchStep, WorkerPool, spawn_workers
 from .registry import env_names, make_scenario
-from .tpe import Trial, TpeConfig, parzen_pdf, run_bo, tpe_ask, tpe_split, tpe_tell
+from .tpe import Trial, TpeConfig, run_bo, tpe_ask, tpe_split, tpe_tell
 from .tracker import TrackerEnvConfig, TrackerWeights, compose_observation, tracker_reward
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     ActionShapeError,
     ActionValueError,
-    AdvanceError,
     EpisodeOver,
     NumericalError,
     ResetError,
@@ -62,21 +61,6 @@ def validate_action(action, act_dim: int) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ActionValueError("action contains non-finite entries")
     return arr
-
-
-def advance_all(advanceables, dt: float) -> None:
-    """Advance every registered object by ``dt``, in registration order.
-
-    Each element must expose ``advance(dt)``. A failure aborts the tick and
-    reports which element broke.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    for i, obj in enumerate(advanceables):
-        try:
-            obj.advance(dt)
-        except Exception as exc:
-            raise AdvanceError(i, exc) from exc
 
 
 @dataclass(frozen=True)

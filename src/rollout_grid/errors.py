@@ -26,15 +26,6 @@ class ActionValueError(RolloutError):
     """Action vector contains non-finite entries."""
 
 
-class AdvanceError(RolloutError):
-    """One advanceable failed to advance; carries the index of the offender."""
-
-    def __init__(self, index: int, cause: BaseException):
-        super().__init__(f"advanceable #{index} failed: {cause!r}")
-        self.index = index
-        self.cause = cause
-
-
 class EpisodeOver(RolloutError):
     """step() was called after the episode already terminated or truncated."""
 

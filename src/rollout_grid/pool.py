@@ -8,10 +8,17 @@ worker runtime synchronously inside the driver process, ``socket`` launches
 one subprocess per worker, each holding one end of its own socket pair. A pool with
 one worker is therefore observationally identical to serial scenario calls.
 
+Both transports sit behind one channel interface (``send``, ``receive``), and
+``WorkerPool._exchange`` is the only code that waits for replies: INIT, every
+RESET and STEP barrier, and a restarted worker's reseed go through it. An
+in-process channel holds its reply as soon as ``send`` returns, so it is
+always ready and never enters the selector.
+
 Fault policy is fail-fast: a barrier timeout aborts the batch and poisons
-the pool. With ``restart_on_failure`` a socket worker that dies is respawned,
-re-initialized, and reseeded with its last reset arguments instead; the
-affected slot reports a floor-reward terminal transition for that batch.
+the pool. With ``restart_on_failure`` a socket worker that dies or whose
+stream turns corrupt is respawned, re-initialized, and reseeded with its last
+reset arguments instead; the affected slot reports a floor-reward terminal
+transition for that batch.
 """
 
 from __future__ import annotations
@@ -74,6 +81,8 @@ class BatchStep:
 class InProcessChannel:
     """Worker runtime executed synchronously in the driver process."""
 
+    conn = None  # nothing to select on: the reply is in once send returns
+
     def __init__(self, frame_log: list | None = None, log_index: int = -1):
         self.runtime = WorkerRuntime()
         self.alive = True
@@ -94,13 +103,14 @@ class InProcessChannel:
             self._frame_log.append(("recv", self._log_index, reply))
         self._pending = wire.decode_frame(reply)
 
-    def collect(self) -> tuple[int, bytes]:
-        if self._pending is None:
-            raise ProtocolError("no pending reply on this channel")
+    def receive(self) -> tuple[int, bytes] | None:
         pending, self._pending = self._pending, None
         return pending
 
-    def close(self) -> None:
+    def stderr_tail(self) -> str:
+        return ""
+
+    def close(self, grace_s: float) -> None:
         self.alive = False
 
 
@@ -126,8 +136,13 @@ class SocketChannel:
             self.alive = False
             raise WorkerLost(f"send failed: {exc}") from exc
 
-    def on_readable(self) -> tuple[int, bytes] | None:
-        """Consume available bytes; return a frame if one completed."""
+    def receive(self) -> tuple[int, bytes] | None:
+        """Consume available bytes; return the reply once it is complete.
+
+        Raises WorkerLost when the worker is gone and FrameError when its
+        stream is corrupt, a malformed frame or bytes after the reply; either
+        leaves the channel dead.
+        """
         try:
             data = self.conn.recv(65536)
         except OSError as exc:
@@ -137,10 +152,19 @@ class SocketChannel:
             self.alive = False
             raise WorkerLost("worker closed its connection")
         self.reader.feed(data)
-        frame = self.reader.next_frame()
-        if frame is not None and self._frame_log is not None:
+        try:
+            frame = self.reader.next_frame()
+        except (FrameError, ProtocolError) as exc:
+            self.alive = False
+            raise FrameError(str(exc)) from exc
+        if frame is None:
+            return None
+        if self._frame_log is not None:
             tag, payload = frame
             self._frame_log.append(("recv", self._log_index, wire.encode_frame(tag, payload)))
+        if self.reader.pending_bytes:
+            self.alive = False
+            raise FrameError("trailing bytes after the reply")
         return frame
 
     def stderr_tail(self, limit: int = 2000) -> str:
@@ -150,7 +174,7 @@ class SocketChannel:
             return ""
         return text[-limit:]
 
-    def close(self, grace_s: float = CLOSE_GRACE_S) -> None:
+    def close(self, grace_s: float) -> None:
         if self.conn is not None:
             try:
                 self.conn.close()
@@ -180,14 +204,13 @@ def _subprocess_env() -> dict:
 class WorkerPool:
     """Fixed-size pool with broadcast/collect barrier semantics."""
 
-    def __init__(self, env: str, n_workers: int, transport: str, channels: list,
+    def __init__(self, env: str, n_workers: int, channels: list,
                  obs_dim: int, act_dim: int, n_s: int, step_timeout_s: float,
                  reward_floor: float, restart_spec: dict | None, frame_log: list | None,
                  stderr_dir: tempfile.TemporaryDirectory | None = None,
                  ready_timeout_s: float = DEFAULT_READY_TIMEOUT_S):
         self.env = env
         self.n_workers = n_workers
-        self.transport = transport
         self.obs_dim = obs_dim
         self.act_dim = act_dim
         self.n_s = n_s
@@ -201,8 +224,9 @@ class WorkerPool:
         # Socket channels stay registered across barriers. A channel leaves the
         # selector when it fails or turns readable unasked, and rejoins when a
         # barrier next addresses it; every channel starts out unregistered.
-        self._selector = selectors.DefaultSelector() if transport == "socket" else None
-        self._unwatched: set[int] = set(range(n_workers)) if transport == "socket" else set()
+        # In-process channels never join: they are always ready.
+        self._selector = selectors.DefaultSelector()
+        self._watched: set[int] = set()
         self._closed = False
         self._poisoned = False
         self._step_counter = 0
@@ -240,6 +264,17 @@ class WorkerPool:
 
     def close(self) -> None:
         """Best effort, idempotent; laggard workers are force-terminated."""
+        self._close(CLOSE_GRACE_S)
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    # -- internals --------------------------------------------------------
+
+    def _close(self, grace_s: float) -> None:
         if self._closed:
             return
         self._closed = True
@@ -250,20 +285,11 @@ class WorkerPool:
                     chan.send(close_frame)
                 except RolloutError:
                     pass
-        if self._selector is not None:
-            self._selector.close()
+        self._selector.close()
         for chan in self._channels:
-            chan.close()
+            chan.close(grace_s)
         if self._stderr_dir is not None:
             self._stderr_dir.cleanup()
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- internals --------------------------------------------------------
 
     def _per_index_options(self, options, n: int) -> list[dict]:
         if options is None:
@@ -298,12 +324,37 @@ class WorkerPool:
             raise BatchError(results)
         return results, latency
 
+    def _init(self, indices: list[int], init_spec: dict) -> None:
+        """INIT the workers at ``indices``; raise SpawnError naming the first that is not READY."""
+        frames = [wire.encode_frame(wire.TAG_INIT,
+                                    wire.dumps_canonical({**init_spec, "worker_index": idx}))
+                  for idx in indices]
+        outcomes, _, _ = self._exchange(indices, frames, self._ready_timeout_s)
+        for idx, outcome in zip(indices, outcomes):
+            if isinstance(outcome, tuple) and outcome[0] == wire.TAG_READY:
+                continue
+            tail = self._channels[idx].stderr_tail() or "<empty>"
+            if outcome is None or isinstance(outcome, WorkerLost):
+                raise SpawnTimeout(
+                    f"worker {idx} did not acknowledge INIT within {self._ready_timeout_s:.0f}s: "
+                    f"{outcome or 'no reply'}; stderr tail: {tail}", index=idx
+                )
+            if isinstance(outcome, FrameError):
+                raise SpawnError(
+                    f"worker {idx} sent a corrupt frame: {outcome}; stderr tail: {tail}", index=idx
+                )
+            tag, payload = outcome
+            if tag == wire.TAG_ERR:
+                code, message = wire.decode_error(payload)
+                raise SpawnError(f"worker {idx} failed INIT: [{code}] {message}", index=idx)
+            raise SpawnError(f"worker {idx} sent tag 0x{tag:02X} instead of READY", index=idx)
+
     def _barrier(self, indices, frames, expect: int):
-        """Send one frame per index, await one reply per index.
+        """One RESET or STEP barrier: send one frame per index, await one reply per index.
 
         Returns (outcomes ordered like ``indices``, seconds from the first
-        send to the last reply).
-        Outcomes are payload bytes of the expected tag, or an exception.
+        send to the last reply). Outcomes are payload bytes of the expected
+        tag, or an exception. A missed deadline poisons the pool.
         """
         if self._closed:
             raise RolloutError("pool is closed")
@@ -311,75 +362,78 @@ class WorkerPool:
             raise RolloutError("pool is poisoned after a barrier timeout; close it")
         if len(set(indices)) != len(indices):
             raise ValueError("worker indices must be unique")
-        outcomes: list = [None] * len(indices)
-        slot_of = {idx: slot for slot, idx in enumerate(indices)}
+        outcomes, latency, laggards = self._exchange(indices, frames, self.step_timeout_s)
+        if laggards:
+            self._poisoned = True
+            raise BarrierTimeout(laggards, self.step_timeout_s)
+        return [self._interpret(idx, o, expect) for idx, o in zip(indices, outcomes)], latency
 
+    def _exchange(self, indices, frames, timeout_s: float):
+        """Send ``frames[k]`` to worker ``indices[k]``, then gather one reply per worker.
+
+        The only place the pool waits for workers. Returns (outcomes ordered
+        like ``indices``, seconds from the first send to the last reply,
+        sorted indices with no reply by the deadline). An outcome is a
+        ``(tag, payload)`` reply, the WorkerLost or FrameError that ended the
+        slot, or None for a worker with no reply by the deadline.
+        """
+        outcomes: list = [None] * len(indices)
+        pending: dict[int, int] = {}  # worker index -> slot
+        ready: list[int] = []
         start = time.perf_counter()
-        pending: set[int] = set()
         for slot, idx in enumerate(indices):
             chan = self._channels[idx]
             try:
                 chan.send(frames[slot])
-            except RolloutError as exc:
+            except WorkerLost as exc:
                 outcomes[slot] = exc
                 continue
-            pending.add(idx)
+            pending[idx] = slot
+            if chan.conn is None:
+                ready.append(idx)
+            elif idx not in self._watched:
+                self._selector.register(chan.conn, selectors.EVENT_READ, idx)
+                self._watched.add(idx)
 
         latency = 0.0
-        if self.transport == "in-process":
-            # Each send ran its handler to completion, so every reply is in.
-            if pending:
-                latency = time.perf_counter() - start
-            for idx in sorted(pending):
-                outcomes[slot_of[idx]] = self._interpret(*self._channels[idx].collect(), expect)
-            return outcomes, latency
-
-        for idx in self._unwatched & pending:
-            self._selector.register(self._channels[idx].conn, selectors.EVENT_READ, idx)
-            self._unwatched.discard(idx)
-        deadline = start + self.step_timeout_s
-        while pending:
-            budget = deadline - time.perf_counter()
-            if budget <= 0:
-                self._poisoned = True
-                raise BarrierTimeout(sorted(pending), self.step_timeout_s)
-            for key, _ in self._selector.select(timeout=budget):
-                idx = key.data
+        deadline = start + timeout_s
+        while True:
+            for idx in ready:
                 if idx not in pending:
                     # Readable while unasked: it died or broke protocol. The
                     # next barrier that addresses it reports that.
                     self._unwatch(idx)
                     continue
-                chan = self._channels[idx]
                 try:
-                    frame = chan.on_readable()
-                    if frame is None:
+                    outcome = self._channels[idx].receive()
+                    if outcome is None:
                         continue
-                except WorkerLost as exc:
+                    latency = time.perf_counter() - start
+                except (WorkerLost, FrameError) as exc:
                     self._unwatch(idx)
-                    outcome = WorkerLost(
-                        f"worker {idx} died: {exc}; stderr tail: {chan.stderr_tail() or '<empty>'}"
-                    )
-                except (FrameError, ProtocolError) as exc:
-                    self._unwatch(idx)
-                    outcome = ProtocolError(f"worker {idx} sent a corrupt frame: {exc}")
-                else:
-                    latency = max(latency, time.perf_counter() - start)
-                    if chan.reader.pending_bytes:
-                        outcome = ProtocolError(f"worker {idx} sent trailing bytes after its reply")
-                    else:
-                        outcome = self._interpret(*frame, expect)
-                pending.discard(idx)
-                outcomes[slot_of[idx]] = outcome
-        return outcomes, latency
+                    outcome = exc
+                outcomes[pending.pop(idx)] = outcome
+            if not pending:
+                break
+            budget = deadline - time.perf_counter()
+            if budget <= 0:
+                break
+            ready = [key.data for key, _ in self._selector.select(timeout=budget)]
+        return outcomes, latency, sorted(pending)
 
     def _unwatch(self, idx: int) -> None:
-        if idx not in self._unwatched:
+        if idx in self._watched:
             self._selector.unregister(self._channels[idx].conn)
-            self._unwatched.add(idx)
+            self._watched.discard(idx)
 
-    @staticmethod
-    def _interpret(tag: int, payload: bytes, expect: int):
+    def _interpret(self, idx: int, outcome, expect: int):
+        """Payload bytes of the expected reply, or the exception that fails the slot."""
+        if isinstance(outcome, WorkerLost):
+            tail = self._channels[idx].stderr_tail() or "<empty>"
+            return WorkerLost(f"worker {idx} died: {outcome}; stderr tail: {tail}")
+        if isinstance(outcome, FrameError):
+            return ProtocolError(f"worker {idx} sent a corrupt frame: {outcome}")
+        tag, payload = outcome
         if tag == wire.TAG_ERR:
             return WorkerError(*wire.decode_error(payload))
         if tag != expect:
@@ -387,31 +441,24 @@ class WorkerPool:
         return payload
 
     def _maybe_restart(self, idx: int, cause: BaseException):
-        """Respawn a lost socket worker when the restart policy is enabled.
+        """Respawn a socket worker that died or corrupted its stream, if the policy allows.
 
         Returns a synthetic terminal StepResult for the lost batch entry, or
         None when restarting does not apply (fail fast).
         """
-        if self._restart_spec is None or not isinstance(cause, WorkerLost):
+        if self._restart_spec is None or self._channels[idx].alive:
             return None
-        self._unwatch(idx)  # the next barrier registers the new channel
+        self._unwatch(idx)  # the next exchange registers the new channel
         self._channels[idx].close(grace_s=0.1)
-        self._channels[idx] = _launch_socket_workers(
-            [idx], self._restart_spec, self.frame_log, self._stderr_dir.name, self._ready_timeout_s
-        )[0]
+        self._channels[idx] = _launch_socket_worker(idx, self.frame_log, self._stderr_dir.name)
+        self._init([idx], self._restart_spec)
         obs = np.zeros(self.obs_dim)
         last = self._last_reset[idx]
         if last is not None:
-            seed, options = last
-            frame = wire.encode_frame(wire.TAG_RESET, wire.encode_reset(seed, options))
-            try:
-                self._channels[idx].send(frame)
-                outcome = self._interpret(*_await_frame(self._channels[idx], self.step_timeout_s),
-                                          wire.TAG_RESETRES)
-            except (WorkerLost, FrameError, ProtocolError) as exc:
-                outcome = exc
-            if not isinstance(outcome, BaseException):
-                obs = wire.decode_vector(outcome)[0]
+            frame = wire.encode_frame(wire.TAG_RESET, wire.encode_reset(*last))
+            (outcome,), _, _ = self._exchange([idx], [frame], self.step_timeout_s)
+            if isinstance(outcome, tuple) and outcome[0] == wire.TAG_RESETRES:
+                obs = wire.decode_vector(outcome[1])[0]
         return StepResult(
             observation=obs,
             reward=self.reward_floor,
@@ -421,79 +468,28 @@ class WorkerPool:
         )
 
 
-def _await_frame(chan: SocketChannel, timeout_s: float) -> tuple[int, bytes]:
-    """Block until ``chan`` completes one frame; WorkerLost on EOF, error or timeout."""
-    deadline = time.perf_counter() + timeout_s
-    try:
-        while True:
-            budget = deadline - time.perf_counter()
-            if budget <= 0:
-                raise WorkerLost(f"no complete frame within {timeout_s:.1f}s")
-            chan.conn.settimeout(budget)
-            frame = chan.on_readable()
-            if frame is not None:
-                return frame
-    finally:
-        chan.conn.settimeout(None)
+def _launch_socket_worker(idx: int, frame_log, stderr_dir: str) -> SocketChannel:
+    """Spawn the process for worker ``idx`` on its own socket pair.
 
-
-def _launch_socket_workers(indices: list[int], init_spec: dict, frame_log,
-                           stderr_dir: str, ready_timeout_s: float) -> list[SocketChannel]:
-    """Spawn one process per worker index and complete their INIT.
-
-    Each worker gets its own socket pair. The child inherits one end and the
-    parent closes its copy of that end, so a worker's death reads as EOF at
-    once. Each channel is bound to its process from the start.
+    The child inherits one end and the parent closes its copy of that end,
+    so a worker's death reads as EOF at once. The channel is bound to its
+    process from the start.
     """
-    conns: list[socket.socket] = []
-    channels: list[SocketChannel] = []
+    conn, child_end = socket.socketpair()
+    stderr_path = Path(stderr_dir) / f"worker-{idx}-{time.monotonic_ns()}.stderr"
     try:
-        for idx in indices:
-            conn, child_end = socket.socketpair()
-            conns.append(conn)
-            stderr_path = Path(stderr_dir) / f"worker-{idx}-{time.monotonic_ns()}.stderr"
-            with child_end, open(stderr_path, "wb") as stderr_file:
-                proc = subprocess.Popen(
-                    _spawn_command(child_end.fileno()),
-                    stdout=subprocess.DEVNULL,
-                    stderr=stderr_file,
-                    env=_subprocess_env(),
-                    pass_fds=(child_end.fileno(),),
-                )
-            channels.append(SocketChannel(proc, conn, stderr_path, frame_log, idx))
-
-        for idx, chan in zip(indices, channels):
-            init = dict(init_spec)
-            init["worker_index"] = idx
-            try:
-                chan.send(wire.encode_frame(wire.TAG_INIT, wire.dumps_canonical(init)))
-            except WorkerLost as exc:
-                raise SpawnError(f"worker {idx} could not receive INIT: {exc}", index=idx) from exc
-
-        deadline = time.perf_counter() + ready_timeout_s
-        for idx, chan in zip(indices, channels):
-            try:
-                tag, payload = _await_frame(chan, deadline - time.perf_counter())
-            except WorkerLost as exc:
-                raise SpawnTimeout(
-                    f"worker {idx} did not acknowledge INIT within {ready_timeout_s:.0f}s: {exc}; "
-                    f"stderr tail: {chan.stderr_tail() or '<empty>'}", index=idx
-                ) from exc
-            except (FrameError, ProtocolError) as exc:
-                raise SpawnError(f"worker {idx} sent a corrupt frame: {exc}", index=idx) from exc
-            if tag == wire.TAG_ERR:
-                code, message = wire.decode_error(payload)
-                raise SpawnError(f"worker {idx} failed INIT: [{code}] {message}", index=idx)
-            if tag != wire.TAG_READY:
-                raise SpawnError(f"worker {idx} sent tag 0x{tag:02X} instead of READY", index=idx)
-        return channels
-    except Exception:
-        for conn in conns:
-            conn.close()
-        for chan in channels:
-            if chan.proc.poll() is None:
-                chan.proc.kill()
+        with child_end, open(stderr_path, "wb") as stderr_file:
+            proc = subprocess.Popen(
+                _spawn_command(child_end.fileno()),
+                stdout=subprocess.DEVNULL,
+                stderr=stderr_file,
+                env=_subprocess_env(),
+                pass_fds=(child_end.fileno(),),
+            )
+    except BaseException:
+        conn.close()
         raise
+    return SocketChannel(proc, conn, stderr_path, frame_log, idx)
 
 
 def spawn_workers(
@@ -542,29 +538,19 @@ def spawn_workers(
     }
     step_timeout = _default_step_timeout() if step_timeout_s is None else float(step_timeout_s)
 
-    if transport == "in-process":
-        channels = []
-        for idx in range(n_workers):
-            chan = InProcessChannel(frame_log, idx)
-            init = dict(init_spec)
-            init["worker_index"] = idx
-            chan.send(wire.encode_frame(wire.TAG_INIT, wire.dumps_canonical(init)))
-            tag, payload = chan.collect()
-            if tag == wire.TAG_ERR:
-                code, message = wire.decode_error(payload)
-                raise SpawnError(f"worker {idx} failed INIT: [{code}] {message}", index=idx)
-            channels.append(chan)
-        return WorkerPool(env, n_workers, transport, channels, obs_dim, act_dim, n_s,
-                          step_timeout, reward_floor, None, frame_log)
-
-    stderr_dir = tempfile.TemporaryDirectory(prefix="rollout-grid-")
-    try:
-        channels = _launch_socket_workers(list(range(n_workers)), init_spec, frame_log,
-                                          stderr_dir.name, ready_timeout_s)
-    except Exception:
-        stderr_dir.cleanup()
-        raise
-    restart_spec = init_spec if restart_on_failure else None
-    return WorkerPool(env, n_workers, transport, channels, obs_dim, act_dim, n_s,
-                      step_timeout, reward_floor, restart_spec, frame_log, stderr_dir,
+    stderr_dir = None
+    if transport == "socket":
+        stderr_dir = tempfile.TemporaryDirectory(prefix="rollout-grid-")
+    channels: list = []
+    pool = WorkerPool(env, n_workers, channels, obs_dim, act_dim, n_s, step_timeout, reward_floor,
+                      init_spec if restart_on_failure else None, frame_log, stderr_dir,
                       ready_timeout_s)
+    try:
+        for idx in range(n_workers):
+            channels.append(_launch_socket_worker(idx, frame_log, stderr_dir.name)
+                            if transport == "socket" else InProcessChannel(frame_log, idx))
+        pool._init(list(range(n_workers)), init_spec)
+    except BaseException:
+        pool._close(grace_s=0.0)
+        raise
+    return pool

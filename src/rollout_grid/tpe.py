@@ -196,11 +196,6 @@ class ParzenDensity:
         return math.exp(x) if self.log_scale else x
 
 
-def parzen_pdf(points, bounds: tuple[float, float], x: float, log_scale: bool = False) -> float:
-    """Convenience wrapper: density of the standard mixture at ``x``."""
-    return ParzenDensity(points, bounds[0], bounds[1], log_scale).pdf(x)
-
-
 _DIMENSIONS = (
     # (name, bounds attribute on PriorSet, log scale)
     ("f_y", "f_y", True),

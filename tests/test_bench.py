@@ -173,6 +173,25 @@ class TestCli:
         assert proc.returncode == 1
         assert "n_env" in proc.stderr
 
+    def test_bo_from_manifest_reproduces_trial_log(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"mode": "bo", "env": "lander", "n_env": 2, "seed": 5, "bo": {"n_trials": 8},
+             "output_dir": str(tmp_path / "orig")}
+        ))
+        proc = self.run_cli("bo", "--config", str(cfg_path))
+        assert proc.returncode == 0, proc.stderr
+        proc = self.run_cli("bo", "--from-manifest", str(tmp_path / "orig" / MANIFEST),
+                            "--out", str(tmp_path / "replay"))
+        assert proc.returncode == 0, proc.stderr
+
+        def trials(run_dir):
+            lines = (run_dir / TRIAL_LOG).read_text().splitlines()
+            return [{k: t[k] for k in ("params", "value", "state")} for t in map(json.loads, lines)]
+
+        assert len(trials(tmp_path / "orig")) == 8
+        assert trials(tmp_path / "orig") == trials(tmp_path / "replay")
+
     def test_missing_config_flag(self):
         proc = self.run_cli("bo")
         assert proc.returncode == 2

@@ -9,33 +9,16 @@ from rollout_grid.core import (
     Episode,
     EpisodeClock,
     ScenarioSpec,
-    advance_all,
     episode_seed,
     validate_action,
 )
 from rollout_grid.errors import (
     ActionShapeError,
     ActionValueError,
-    AdvanceError,
     EpisodeOver,
     NumericalError,
     ResetError,
 )
-
-
-class Counter:
-    def __init__(self):
-        self.time = 0.0
-        self.calls = 0
-
-    def advance(self, dt):
-        self.time += dt
-        self.calls += 1
-
-
-class Broken:
-    def advance(self, dt):
-        raise RuntimeError("boom")
 
 
 class RecordingScenario:
@@ -111,30 +94,6 @@ def test_validate_action_property(act_dim, given_len):
     else:
         with pytest.raises(ActionShapeError):
             validate_action(vec, act_dim)
-
-
-def test_advance_all_empty_is_noop():
-    advance_all([], 0.1)
-
-
-def test_advance_all_steps_each_once_in_order():
-    a, b = Counter(), Counter()
-    advance_all([a, b], 0.5)
-    assert a.calls == b.calls == 1
-    assert a.time == b.time == 0.5
-
-
-def test_advance_all_repeated_accumulates():
-    c = Counter()
-    for _ in range(1000):
-        advance_all([c], 1e-3)
-    assert math.isclose(c.time, 1.0)
-
-
-def test_advance_all_reports_failing_index():
-    with pytest.raises(AdvanceError) as excinfo:
-        advance_all([Counter(), Broken()], 0.1)
-    assert excinfo.value.index == 1
 
 
 def test_episode_clock_law():

@@ -255,12 +255,11 @@ class TestLanderScenario:
         assert math.isclose(touchdown_speed(REF_PARAMS), 1.8)
 
     def test_integrator_is_advanceable(self):
-        from rollout_grid.core import advance_all
         from rollout_grid.lander import TouchdownIntegrator
 
         integ = TouchdownIntegrator(REF_DESIGN, REF_PARAMS)
         for _ in range(1000):
-            advance_all([integ], 1e-3)
+            integ.advance(1e-3)
         assert math.isclose(integ.sim_time, 1.0)
         assert integ.done
 

@@ -1,3 +1,4 @@
+import subprocess
 import sys
 import threading
 import time
@@ -15,6 +16,7 @@ from rollout_grid.errors import (
     ProtocolError,
     RolloutError,
     SpawnError,
+    SpawnTimeout,
     WorkerError,
 )
 from rollout_grid.pool import spawn_workers
@@ -349,3 +351,119 @@ def test_corrupt_length_prefix_fails_the_slot_at_once(monkeypatch):
         assert "worker 0" in str(err) and "exceeds" in str(err)
     finally:
         pool.close()
+
+
+# Corrupts the length prefix of its first STEP reply only, unless the marker
+# file exists; it creates the marker, so a replacement worker serves cleanly.
+ONCE_CORRUPTING_WORKER = """
+import os, socket, sys
+from rollout_grid import wire
+from rollout_grid.worker import WorkerRuntime
+fd, marker = int(sys.argv[1]), sys.argv[2]
+runtime, reader = WorkerRuntime(), wire.FrameReader()
+with socket.socket(fileno=fd) as sock:
+    while data := sock.recv(65536):
+        reader.feed(data)
+        while (frame := reader.next_frame()) is not None:
+            reply = runtime.handle_frame(*frame)
+            if reply is None:
+                sys.exit(0)
+            if frame[0] == wire.TAG_STEP and not os.path.exists(marker):
+                open(marker, "w").close()
+                reply = b"\\xf0\\xff\\xff\\xff" + reply[4:]
+            sock.sendall(reply)
+"""
+
+
+def test_restart_replaces_worker_whose_stream_went_corrupt(monkeypatch, tmp_path):
+    marker = str(tmp_path / "corrupted-once")
+    monkeypatch.setattr(pool_module, "_spawn_command",
+                        lambda fd: [sys.executable, "-c", ONCE_CORRUPTING_WORKER, str(fd), marker])
+    pool = spawn_workers("tracker", 1, "socket", step_timeout_s=5, restart_on_failure=True)
+    try:
+        pool.reset_all([5])
+        (first,) = pool.step_all(np.zeros((1, 12))).results
+        assert first.info.get("restarted") is True
+        assert "corrupt frame" in first.info["cause"]
+        assert first.terminated
+        for _ in range(2):
+            (res,) = pool.step_all(np.zeros((1, 12))).results
+            assert "restarted" not in res.info
+            assert not res.terminated
+    finally:
+        pool.close()
+
+
+# Serves worker 0 like a real worker. Worker 1 reads its INIT and then misbehaves
+# as argv[2] says: "silent" never answers, "stderr" writes to stderr and exits,
+# "wrong-tag" answers with a STEPRES frame; "silent" and "wrong-tag" then sleep.
+FAULTY_INIT_WORKER = """
+import json, socket, sys, time
+from rollout_grid import wire
+from rollout_grid.worker import WorkerRuntime
+fd, mode = int(sys.argv[1]), sys.argv[2]
+runtime, reader = WorkerRuntime(), wire.FrameReader()
+with socket.socket(fileno=fd) as sock:
+    while data := sock.recv(65536):
+        reader.feed(data)
+        while (frame := reader.next_frame()) is not None:
+            if frame[0] == wire.TAG_INIT and json.loads(frame[1])["worker_index"] == 1:
+                if mode == "stderr":
+                    sys.stderr.write("scenario library missing: libchrono.so\\n")
+                    sys.exit(3)
+                if mode == "wrong-tag":
+                    sock.sendall(wire.encode_frame(wire.TAG_STEPRES, b""))
+                time.sleep(60)
+            reply = runtime.handle_frame(*frame)
+            if reply is None:
+                sys.exit(0)
+            sock.sendall(reply)
+"""
+
+
+def spawn_with_faulty_init(monkeypatch, mode, **kwargs):
+    """spawn_workers over FAULTY_INIT_WORKER; returns (raised error, seconds, processes)."""
+    monkeypatch.setattr(pool_module, "_spawn_command",
+                        lambda fd: [sys.executable, "-c", FAULTY_INIT_WORKER, str(fd), mode])
+    procs = []
+    real_popen = subprocess.Popen
+
+    def recording_popen(*args, **kw):
+        procs.append(real_popen(*args, **kw))
+        return procs[-1]
+
+    monkeypatch.setattr(pool_module.subprocess, "Popen", recording_popen)
+    t0 = time.perf_counter()
+    with pytest.raises(SpawnError) as excinfo:
+        spawn_workers("tracker", 2, "socket", **kwargs)
+    return excinfo.value, time.perf_counter() - t0, procs
+
+
+def assert_all_exited(procs):
+    deadline = time.perf_counter() + 2.0
+    while any(p.poll() is None for p in procs) and time.perf_counter() < deadline:
+        time.sleep(0.01)
+    assert len(procs) == 2
+    assert all(p.poll() is not None for p in procs)
+
+
+def test_worker_silent_at_init_raises_spawn_timeout(monkeypatch):
+    err, elapsed, procs = spawn_with_faulty_init(monkeypatch, "silent", ready_timeout_s=1.0)
+    assert isinstance(err, SpawnTimeout)
+    assert err.index == 1 and "worker 1" in str(err)
+    assert elapsed < 1.0 + 1.0
+    assert_all_exited(procs)
+
+
+def test_worker_dying_at_init_reports_its_stderr(monkeypatch):
+    err, _, procs = spawn_with_faulty_init(monkeypatch, "stderr", ready_timeout_s=10.0)
+    assert err.index == 1 and "worker 1" in str(err)
+    assert "scenario library missing: libchrono.so" in str(err)
+    assert_all_exited(procs)
+
+
+def test_worker_answering_init_with_wrong_tag_raises_spawn_error(monkeypatch):
+    err, _, procs = spawn_with_faulty_init(monkeypatch, "wrong-tag", ready_timeout_s=10.0)
+    assert err.index == 1
+    assert "instead of READY" in str(err)
+    assert_all_exited(procs)

@@ -16,7 +16,6 @@ from rollout_grid.tpe import (
     Trial,
     TpeConfig,
     best_trial,
-    parzen_pdf,
     read_trial_log,
     run_bo,
     tpe_ask,
@@ -67,7 +66,7 @@ class TestParzenDensity:
         d = ParzenDensity([], 2.0, 6.0)
         assert d.pdf(3.0) == pytest.approx(0.25)
         assert d.pdf(1.0) == 0.0
-        assert parzen_pdf([], (2.0, 6.0), 4.0) == pytest.approx(0.25)
+        assert ParzenDensity([], 2.0, 6.0).pdf(4.0) == pytest.approx(0.25)
 
     def test_no_points_log_scale_prior(self):
         d = ParzenDensity([], 1e2, 1e4, log_scale=True)
