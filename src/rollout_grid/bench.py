@@ -24,7 +24,7 @@ from . import __version__
 from .cem import run_cem
 from .config import RunConfig, config_to_dict, env_config_to_dict
 from .pool import WorkerPool, spawn_workers
-from .tpe import Trial, run_bo, write_trial_log
+from .tpe import run_bo, trial_to_json
 
 TRIAL_LOG = "trials.jsonl"
 BO_CURVE_CSV = "curve_best_value.csv"
@@ -152,25 +152,32 @@ def run_throughput(cfg: RunConfig, out_dir: str | Path) -> list[dict]:
 
 
 def run_study(cfg: RunConfig, out_dir: str | Path):
-    """BO study: trial log, best-value-vs-wallclock curve, manifest."""
+    """BO study: trial log, best-value-vs-wallclock curve, manifest.
+
+    Each trial's log line, and its curve row if it completed, is written and
+    flushed as the trial is told.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     batch = cfg.bo.batch or cfg.n_env
     pool, spawn_s = make_pool(cfg)
-    history: list[Trial] = []
+    log = open(out / TRIAL_LOG, "w")
+    sink = _CsvSink(out / BO_CURVE_CSV, ["wall_clock_s", "best_value"])
+
+    def record(trial, point):
+        log.write(trial_to_json(trial) + "\n")
+        log.flush()
+        if point is not None:
+            sink.write(*point)
+
     try:
         best, curve = run_bo(
             pool, cfg.lander.priors, cfg.bo.tpe, cfg.bo.n_trials, batch,
-            seed=cfg.seed, history=history,
+            seed=cfg.seed, on_tell=record,
         )
     finally:
         pool.close()
-    write_trial_log(history, out / TRIAL_LOG)
-    sink = _CsvSink(out / BO_CURVE_CSV, ["wall_clock_s", "best_value"])
-    try:
-        for wall, value in curve:
-            sink.write(wall, value)
-    finally:
+        log.close()
         sink.close()
     write_manifest(out, cfg, spawn_s=spawn_s, best_value=best.value, best_params=best.params)
     emit_plot_data([CurveRecord(w, "best_value", v) for w, v in curve], out / "plot",

@@ -71,7 +71,10 @@ class ScenarioSpec:
     close over arbitrary per-instance state; an instance and its state are
     confined to one worker. The reward hook receives the applied action and
     the post-advance observation; environments that want the pre-step state
-    as well snapshot it themselves in ``apply_action``.
+    as well snapshot it themselves in ``apply_action``. ``advance_one`` may
+    return a truthy value to say that nothing changes from there on (further
+    ticks would leave every observed quantity as it is); the decision step
+    then stops ticking. A hook that returns ``None`` ticks every time.
     """
 
     sim_step_size: float  # physics tick, seconds
@@ -81,7 +84,7 @@ class ScenarioSpec:
     act_dim: int
     reset: Callable[[np.random.Generator, dict], None]
     apply_action: Callable[[np.ndarray], None]
-    advance_one: Callable[[float], None]
+    advance_one: Callable[[float], bool | None]
     observe: Callable[[], np.ndarray]
     reward: Callable[[np.ndarray, np.ndarray], float]
     status: Callable[[int], tuple[bool, bool]]
@@ -130,9 +133,12 @@ class Episode:
     """Drives one ScenarioSpec through the single-episode step contract.
 
     Within one decision step: the action is applied once, ``advance_one``
-    runs exactly ``steps_per_action`` times with ``sim_step_size`` each,
-    then observation, reward and status are evaluated in that order on the
-    post-advance state. Auto-reset is deliberately not performed here.
+    runs with ``sim_step_size`` up to ``steps_per_action`` times, stopping
+    after the first call that returns a truthy value (the scenario has
+    settled), then observation, reward and status are evaluated in that
+    order on the post-advance state. The decision step still covers
+    ``steps_per_action`` ticks of simulated time on the clock. Auto-reset is
+    deliberately not performed here.
     """
 
     def __init__(self, spec: ScenarioSpec, reward_floor: float = REWARD_FLOOR):
@@ -170,7 +176,8 @@ class Episode:
         spec.apply_action(action)
         advance_one, dt = spec.advance_one, spec.sim_step_size
         for _ in range(spec.steps_per_action):
-            advance_one(dt)
+            if advance_one(dt):
+                break
         self.clock.decision_step += 1
 
         obs = self._observe()

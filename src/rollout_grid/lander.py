@@ -193,11 +193,8 @@ class TouchdownIntegrator:
         self.a_max = 0.0
         self.bottomed_out = False
         self.done = self.v0 == 0.0
-        if (
-            self.plateau / params.mass - params.gravity <= 0
-            and math.isinf(params.stroke_limit)
-            and not self.done
-        ):
+        self.decel = self.plateau / params.mass - params.gravity  # net, while crushing
+        if self.decel <= 0 and math.isinf(params.stroke_limit) and not self.done:
             raise DivergentDesignError("net deceleration <= 0 with unlimited stroke")
 
     def advance(self, dt: float) -> None:
@@ -207,7 +204,7 @@ class TouchdownIntegrator:
         if not math.isfinite(self.v) or not math.isfinite(self.stroke):
             raise ArithmeticError("touchdown state became non-finite")
         p = self.params
-        decel = self.plateau / p.mass - p.gravity  # net deceleration while crushing
+        decel = self.decel
         v_new = self.v - decel * dt
         if v_new <= 0.0:
             # Comes to rest inside this tick: finish the remaining arc exactly.
@@ -351,12 +348,13 @@ class LanderScenario:
         pass  # the design is fixed at reset; there is nothing to actuate
 
     # Once touchdown has settled, a tick changes nothing that is observed (the
-    # integrator's own sim_time is not), so settled ticks are not dispatched.
+    # integrator's own sim_time is not), so the decision step stops ticking.
     # advance goes through the instance, so a patch on the class sees each tick.
-    def _advance_one(self, dt: float) -> None:
+    def _advance_one(self, dt: float) -> bool:
         integ = self._integ
         if not integ.done:
             integ.advance(dt)
+        return integ.done
 
     def _observe(self) -> np.ndarray:
         d = self._design

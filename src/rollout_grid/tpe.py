@@ -12,8 +12,12 @@ evaluations were scheduled.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
+import operator
+import sys
 import time
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -27,6 +31,12 @@ from .lander import LanderDesign, PriorSet, sample_design
 _STD_NORMAL = NormalDist()
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2 * math.pi)
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min  # the smallest positive normal float
+
+#: Relative margin within which an approximately scored candidate is rescored
+#: exactly: about a million times the few-ulp error of the screening pass.
+SCREEN_MARGIN = 1e-9
 
 PENDING = "pending"
 COMPLETE = "complete"
@@ -88,11 +98,6 @@ def tpe_split(history: list[Trial], gamma: float) -> tuple[list[Trial], list[Tri
     return ranked[:n_good], ranked[n_good:]
 
 
-def _std_normal_cdf(x: float) -> float:
-    # NormalDist().cdf(x): the same float operations, without the method call.
-    return 0.5 * (1.0 + math.erf(x / _SQRT2))
-
-
 class ParzenDensity:
     """1-D kernel mixture over a bounded interval, optionally in log space.
 
@@ -109,47 +114,44 @@ class ParzenDensity:
             raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
         self.orig_lo, self.orig_hi = float(lo), float(hi)
         self.log_scale = log_scale
-        pts = [float(p) for p in points]
-        if any(not self.orig_lo <= p <= self.orig_hi for p in pts):
+        pts = np.asarray(points, dtype=np.float64).ravel()
+        if len(pts) and not (self.orig_lo <= pts.min() and pts.max() <= self.orig_hi):
             raise ValueError("observed points must lie within the bounds")
         if log_scale:
             if lo <= 0:
                 raise ValueError("log-scale bounds must be positive")
             self.lo, self.hi = math.log(lo), math.log(hi)
-            pts = [math.log(p) for p in pts]
+            pts = _map(math.log, pts)
         else:
             self.lo, self.hi = float(lo), float(hi)
-        self.centers = sorted(pts)
+        self.centers = np.sort(pts)
         self.widths = self._bandwidths(self.centers, self.lo, self.hi)
-        if self.centers:
+        if len(self.centers):
             # Prior-wide component stabilizes the mixture away from data.
-            self.centers.append(0.5 * (self.lo + self.hi))
-            self.widths.append(self.hi - self.lo)
-        # Each kernel's truncation cdfs at the bounds, computed once: the
-        # kernel's mass is their difference, and sample draws between them.
-        self._cdfs = [
-            (_std_normal_cdf((self.lo - c) / w), _std_normal_cdf((self.hi - c) / w))
-            for c, w in zip(self.centers, self.widths)
-        ]
-        self._center_arr = np.array(self.centers)
-        self._width_arr = np.array(self.widths)
-        self._norms = np.array(
-            [w * _SQRT_2PI * (p_hi - p_lo) for w, (p_lo, p_hi) in zip(self.widths, self._cdfs)]
-        )
+            self.centers = np.concatenate((self.centers, [0.5 * (self.lo + self.hi)]))
+            self.widths = np.concatenate((self.widths, [self.hi - self.lo]))
+        # Each kernel's truncation cdfs at the bounds, NormalDist().cdf's float
+        # operations: the kernel's mass is their difference, and sample draws
+        # between them.
+        n = len(self.centers)
+        scaled = np.concatenate(((self.lo - self.centers) / self.widths,
+                                 (self.hi - self.centers) / self.widths)) / _SQRT2
+        cdfs = 0.5 * (1.0 + _map(math.erf, scaled))
+        self._p_lo, self._p_hi = cdfs[:n], cdfs[n:]
+        self._norms = self.widths * _SQRT_2PI * (self._p_hi - self._p_lo)
 
     @staticmethod
-    def _bandwidths(centers: list[float], lo: float, hi: float) -> list[float]:
+    def _bandwidths(centers: np.ndarray, lo: float, hi: float) -> np.ndarray:
         span = hi - lo
         n = len(centers)
         if n == 0:
-            return []
+            return np.empty(0)
+        # max(floor, left gap, right gap), capped at the span; a missing
+        # neighbor counts as a gap of one span.
         floor = span / min(100, n + 1)
-        widths = []
-        for i, c in enumerate(centers):
-            left = centers[i] - centers[i - 1] if i > 0 else span
-            right = centers[i + 1] - centers[i] if i < n - 1 else span
-            widths.append(min(span, max(floor, left, right)))
-        return widths
+        gaps = centers[1:] - centers[:-1]
+        widest = np.maximum(np.concatenate(([span], gaps)), np.concatenate((gaps, [span])))
+        return np.minimum(span, np.maximum(floor, widest))
 
     def pdf(self, x: float) -> float:
         """Density at ``x`` in the original coordinates."""
@@ -169,12 +171,12 @@ class ParzenDensity:
         jacobian = 1.0
         if self.log_scale:
             jacobian = 1.0 / x
-            x = np.array([math.log(v) for v in x.tolist()])
-        if not self.centers:
+            x = _map(math.log, x)
+        if not len(self.centers):
             out[inside] = jacobian / (self.hi - self.lo)
             return out
-        z = (x[:, None] - self._center_arr) / self._width_arr
-        exps = np.fromiter(map(math.exp, (-0.5 * z * z).ravel().tolist()), np.float64, z.size)
+        z = (x[:, None] - self.centers) / self.widths
+        exps = _map(math.exp, (-0.5 * z * z).ravel())
         terms = exps.reshape(z.shape) / self._norms
         total = np.add.accumulate(terms, axis=1)[:, -1]
         out[inside] = jacobian * total / len(self.centers)
@@ -182,18 +184,97 @@ class ParzenDensity:
 
     def sample(self, rng: np.random.Generator) -> float:
         """Inverse-CDF draw from a uniformly chosen mixture component."""
+        return float(self.sample_many(rng, 1)[0])
+
+    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` draws in the original coordinates, each one ``sample`` would give.
+
+        Per draw the rng picks a component (``integers``), then a uniform
+        (``random``), in that order; the rest runs over the arrays with the
+        float operations of the per-draw formula.
+        """
         # lo + (hi - lo) * rng.random() is rng.uniform(lo, hi) bit for bit,
         # from the same draw, at a third of the call's cost.
-        if not self.centers:
-            u = self.lo + (self.hi - self.lo) * rng.random()
-            return math.exp(u) if self.log_scale else u
-        i = int(rng.integers(len(self.centers)))
-        c, w = self.centers[i], self.widths[i]
-        p_lo, p_hi = self._cdfs[i]
-        u = p_lo + (p_hi - p_lo) * rng.random()
-        x = c + w * _STD_NORMAL.inv_cdf(min(max(u, 1e-15), 1.0 - 1e-15))
-        x = min(max(x, self.lo), self.hi)
-        return math.exp(x) if self.log_scale else x
+        if not len(self.centers):
+            x = self.lo + (self.hi - self.lo) * rng.random(n)
+        else:
+            integers, random, k = rng.integers, rng.random, len(self.centers)
+            draws = np.array([(integers(k), random()) for _ in range(n)])
+            i = draws[:, 0].astype(np.intp)
+            p_lo, p_hi = self._p_lo[i], self._p_hi[i]
+            u = np.minimum(np.maximum(p_lo + (p_hi - p_lo) * draws[:, 1], 1e-15), 1.0 - 1e-15)
+            x = self.centers[i] + self.widths[i] * _map(_STD_NORMAL.inv_cdf, u)
+            # min(max(x, lo), hi) keeps x on a tie, as np.maximum need not.
+            x[x < self.lo] = self.lo
+            x[x > self.hi] = self.hi
+        return _map(math.exp, x) if self.log_scale else x
+
+
+def _map(fn, xs: np.ndarray) -> np.ndarray:
+    """``fn`` over the elements of a float array, as Python floats."""
+    return np.fromiter(map(fn, xs.tolist()), np.float64, xs.size)
+
+
+class RatioModel:
+    """The good and bad densities of one dimension, and the choice between candidates.
+
+    ``best`` returns the index of the first candidate with the highest exact
+    score ``l(x) / g(x)`` (infinite where ``g(x) == 0``), exactly as a loop
+    over ``pdf`` values would. A screening pass scores every candidate
+    approximately, with ``np.exp`` over both densities' kernels at once and
+    pairwise sums; only candidates whose approximate ratio lies within
+    ``SCREEN_MARGIN`` (relative) of the best are rescored exactly. An
+    approximate kernel sum is within ``2K + 1`` ulps of the exact one, for
+    ``K`` kernels, so the margin, grown with the kernel count, keeps every
+    candidate that could win (README, Determinism, has the argument).
+    """
+
+    def __init__(self, l_density: ParzenDensity, g_density: ParzenDensity):
+        self.l, self.g = l_density, g_density
+        self._split = len(l_density.centers)
+        self._screened = self._split > 0 and len(g_density.centers) > 0
+        if self._screened:
+            self._centers = np.concatenate((l_density.centers, g_density.centers))
+            self._widths = np.concatenate((l_density.widths, g_density.widths))
+            self._norms = np.concatenate((l_density._norms, g_density._norms))
+            n_kernels = len(self._centers)
+            self._margin = SCREEN_MARGIN + 8 * n_kernels * _EPS
+            # A sum at least this large carries at most one ulp of error per
+            # subnormal term, however small a kernel's norm is.
+            self._floor = _TINY * (1.0 + 1.0 / self._norms.min())
+
+    def best(self, xs) -> int:
+        xs = np.asarray(xs, dtype=np.float64)
+        idx = self._contenders(xs)
+        if len(idx) == 1:
+            return int(idx[0])
+        best_i, best_score = -1, -math.inf
+        l_values = self.l.pdf_many(xs[idx]).tolist()
+        g_values = self.g.pdf_many(xs[idx]).tolist()
+        for i, l, g in zip(idx.tolist(), l_values, g_values):
+            score = math.inf if g == 0.0 else l / g
+            if score > best_score:
+                best_i, best_score = i, score
+        return best_i
+
+    def _contenders(self, xs: np.ndarray) -> np.ndarray:
+        """Indices of the candidates that may score highest; all of them when in doubt."""
+        everyone = np.arange(len(xs))
+        # Outside the bounds a density is exactly 0; the exact pass settles it.
+        if not (self._screened and self.l.orig_lo <= xs.min() and xs.max() <= self.l.orig_hi):
+            return everyone
+        x = _map(math.log, xs) if self.l.log_scale else xs
+        z = (x[:, None] - self._centers) / self._widths
+        terms = np.exp(-0.5 * z * z) / self._norms
+        sums = np.add.reduceat(terms, [0, self._split], axis=1)
+        if not (sums.min() >= self._floor and sums.max() < math.inf):
+            return everyone
+        # The jacobian and the 1/K factors are the same for every candidate.
+        ratio = sums[:, 0] / sums[:, 1]
+        top = ratio.max()
+        if not (ratio.min() >= _TINY and top < math.inf):
+            return everyone
+        return np.flatnonzero(ratio >= top * (1.0 - self._margin))
 
 
 _DIMENSIONS = (
@@ -202,6 +283,33 @@ _DIMENSIONS = (
     ("beta", "beta", False),
     ("alpha2", "alpha2", False),
 )
+
+
+@functools.lru_cache(maxsize=1)
+def _ratio_models(good: bytes, bad: bytes, bounds: bytes) -> tuple[RatioModel | None, ...]:
+    """One model per dimension (None where its interval is a point), from raw float64 bytes.
+
+    The arguments are the exact bytes of the good and bad points (trials by
+    dimensions) and of the bounds, so the asks of one batch, which see the
+    same completed trials, share one build.
+    """
+    dims = len(_DIMENSIONS)
+    good_pts = np.frombuffer(good).reshape(-1, dims)
+    bad_pts = np.frombuffer(bad).reshape(-1, dims)
+    box = np.frombuffer(bounds).reshape(dims, 2).tolist()
+    return tuple(
+        None if lo == hi else RatioModel(ParzenDensity(good_pts[:, j], lo, hi, log_scale),
+                                         ParzenDensity(bad_pts[:, j], lo, hi, log_scale))
+        for j, ((_, _, log_scale), (lo, hi)) in enumerate(zip(_DIMENSIONS, box))
+    )
+
+
+_dimension_values = operator.itemgetter(*(name for name, _, _ in _DIMENSIONS))
+
+
+def _points_bytes(trials: list[Trial]) -> bytes:
+    rows = [_dimension_values(t.params) for t in trials]
+    return np.fromiter(itertools.chain.from_iterable(rows), np.float64).tobytes()
 
 
 def tpe_ask(
@@ -218,24 +326,17 @@ def tpe_ask(
     if len(done) < cfg.n_startup or len(done) < 2:
         return sample_design(priors, rng)
     good, bad = tpe_split(history, cfg.gamma)
+    bounds = [getattr(priors, attr) for _, attr, _ in _DIMENSIONS]
+    models = _ratio_models(_points_bytes(good), _points_bytes(bad),
+                           np.array(bounds, dtype=np.float64).tobytes())
     values: dict[str, float] = {}
-    for name, attr, log_scale in _DIMENSIONS:
-        lo, hi = getattr(priors, attr)
-        if lo == hi:
+    for (name, _, _), (lo, _), model in zip(_DIMENSIONS, bounds, models):
+        if model is None:
             values[name] = lo
             continue
-        l_density = ParzenDensity([t.params[name] for t in good], lo, hi, log_scale)
-        g_density = ParzenDensity([t.params[name] for t in bad], lo, hi, log_scale)
         # All candidates are drawn first; scoring never draws from the rng.
-        candidates = [l_density.sample(rng) for _ in range(cfg.n_candidates)]
-        l_values = l_density.pdf_many(candidates).tolist()
-        g_values = g_density.pdf_many(candidates).tolist()
-        best_x, best_score = None, -math.inf
-        for x, l, g in zip(candidates, l_values, g_values):
-            score = math.inf if g == 0.0 else l / g
-            if score > best_score:
-                best_x, best_score = x, score
-        values[name] = best_x
+        candidates = model.l.sample_many(rng, cfg.n_candidates)
+        values[name] = float(candidates[model.best(candidates)])
     return LanderDesign(f_y=values["f_y"], beta=values["beta"], alpha2=values["alpha2"])
 
 
@@ -284,6 +385,7 @@ def run_bo(
     seed: int = 0,
     clock=time.perf_counter,
     history: list[Trial] | None = None,
+    on_tell=None,
 ) -> tuple[Trial, list[tuple[float, float]]]:
     """Batched ask/evaluate/tell loop over a lander worker pool.
 
@@ -292,9 +394,11 @@ def run_bo(
     the negated reward. The curve records (wall clock, best value so far) at
     every completion and is therefore nonincreasing in its second column.
     Pass ``history`` to keep the full trial record (e.g. for the study log);
-    it is mutated in place. Failed evaluations do not count toward
-    ``n_trials``; once more than ``n_trials`` have failed, RolloutError is
-    raised with the last worker error.
+    it is mutated in place. ``on_tell(trial, point)``, if given, runs as
+    each trial is told, in history order; ``point`` is the curve row the
+    trial added, or None for a failed evaluation. Failed evaluations do not
+    count toward ``n_trials``; once more than ``n_trials`` have failed,
+    RolloutError is raised with the last worker error.
     """
     if batch < 1:
         raise ValueError("batch must be >= 1")
@@ -324,15 +428,19 @@ def run_bo(
         outcomes = pool.step_some(indices, actions, raise_on_error=False)
         for slot, (trial, outcome) in enumerate(zip(pending, outcomes)):
             now = clock() - start
+            point = None
             if isinstance(outcome, BaseException):
                 tpe_tell(history, trial, None, t_end=now)
                 failed += 1
                 last_failure = slot, outcome
-                continue
-            tpe_tell(history, trial, -outcome.reward, t_end=now)
-            completed += 1
-            best = min(best, trial.value)
-            curve.append((now, best))
+            else:
+                tpe_tell(history, trial, -outcome.reward, t_end=now)
+                completed += 1
+                best = min(best, trial.value)
+                point = (now, best)
+                curve.append(point)
+            if on_tell is not None:
+                on_tell(trial, point)
         if failed > n_trials:
             slot, exc = last_failure
             raise RolloutError(
@@ -366,12 +474,6 @@ def trial_from_json(line: str) -> Trial:
         t_end=d["t_end"],
         index=d["index"],
     )
-
-
-def write_trial_log(history: list[Trial], path) -> None:
-    with open(path, "w") as fh:
-        for trial in history:
-            fh.write(trial_to_json(trial) + "\n")
 
 
 def read_trial_log(path) -> list[Trial]:

@@ -1,10 +1,13 @@
 import csv
+import itertools
 import json
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
+from rollout_grid import bench
 from rollout_grid.bench import (
     BO_CURVE_CSV,
     CurveRecord,
@@ -19,6 +22,8 @@ from rollout_grid.bench import (
     run_training,
 )
 from rollout_grid.config import config_from_dict
+from rollout_grid.core import StepResult
+from rollout_grid.tpe import read_trial_log
 
 
 def bo_config(**over):
@@ -87,6 +92,47 @@ class TestStudy:
         a = read_curve_csv(tmp_path / "orig" / BO_CURVE_CSV)
         b = read_curve_csv(tmp_path / "replay" / BO_CURVE_CSV)
         assert [v for _, v in a] == [v for _, v in b]
+
+
+class InterruptedPool:
+    """Lander pool stub whose step raises KeyboardInterrupt at the given evaluation."""
+
+    n_workers = 2
+    obs_dim = 5
+    act_dim = 3
+
+    def __init__(self, interrupt_at):
+        self.interrupt_at = interrupt_at
+        self.evaluations = 0
+        self.designs = []
+
+    def reset_some(self, indices, seeds, options=None):
+        self.designs = [o["design"] for o in options]
+        return [np.zeros(5) for _ in indices]
+
+    def step_some(self, indices, actions, raise_on_error=True):
+        out = []
+        for design in self.designs:
+            self.evaluations += 1
+            if self.evaluations == self.interrupt_at:
+                raise KeyboardInterrupt
+            out.append(StepResult(np.zeros(5), -design["f_y"] / 1e4, True, False, {}))
+        return out
+
+    def close(self):
+        pass
+
+
+def test_interrupted_study_leaves_parseable_trial_log_and_curve(tmp_path, monkeypatch):
+    # Batches of two: evaluations 1-4 are told before the fifth is interrupted.
+    monkeypatch.setattr(bench, "make_pool", lambda cfg: (InterruptedPool(5), 0.0))
+    with pytest.raises(KeyboardInterrupt):
+        run_study(bo_config(), tmp_path)
+    trials = read_trial_log(tmp_path / TRIAL_LOG)
+    assert [t.index for t in trials] == [0, 1, 2, 3]
+    curve = read_curve_csv(tmp_path / BO_CURVE_CSV)
+    assert [v for _, v in curve] == list(itertools.accumulate(
+        (t.value for t in trials), min))
 
 
 class TestTraining:

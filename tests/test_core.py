@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -209,3 +210,41 @@ def test_spec_rejects_bad_timing():
             reset=sc._reset, apply_action=lambda a: None, advance_one=lambda dt: None,
             observe=sc._observe, reward=sc._reward, status=sc._status,
         )
+
+
+class SettlingScenario(RecordingScenario):
+    """Recording scenario whose ``advance_one`` reports settled from a given tick on.
+
+    ``settle_at=None`` returns None from every tick, like a scenario that
+    never says it has settled; ``settle_at=math.inf`` returns False forever.
+    """
+
+    def __init__(self, settle_at, **kwargs):
+        super().__init__(**kwargs)
+        self.settle_at = settle_at
+        self.ticks = 0
+
+    def spec(self):
+        return dataclasses.replace(super().spec(), advance_one=self._advance_one)
+
+    def _advance_one(self, dt):
+        self.ticks += 1
+        self.log.append("advance")
+        if self.settle_at is None:
+            return None
+        return self.ticks >= self.settle_at
+
+
+@pytest.mark.parametrize("settle_at, ticks", [(1, 1), (3, 3), (5, 5), (None, 5), (math.inf, 5)])
+def test_step_stops_ticking_at_first_settled_advance(settle_at, ticks):
+    sc = SettlingScenario(settle_at, k=5, horizon=3)
+    ep = Episode(sc.spec())
+    ep.reset(0)
+    sc.log.clear()
+    result = ep.step(np.zeros(2))
+    # Ticks end at the first truthy return and never pass steps_per_action;
+    # the rest of the step runs as usual on the settled state.
+    assert sc.ticks == ticks
+    assert sc.log == ["apply"] + ["advance"] * ticks + ["observe", "reward", "status"]
+    assert not result.done
+    assert math.isclose(ep.clock.sim_time, 5 * 0.005)

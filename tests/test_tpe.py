@@ -1,9 +1,12 @@
 import hashlib
 import itertools
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from rollout_grid.errors import NotEnoughData, RolloutError
@@ -13,6 +16,7 @@ from rollout_grid.tpe import (
     COMPLETE,
     FAILED,
     ParzenDensity,
+    RatioModel,
     Trial,
     TpeConfig,
     best_trial,
@@ -23,7 +27,6 @@ from rollout_grid.tpe import (
     tpe_tell,
     trial_from_json,
     trial_to_json,
-    write_trial_log,
 )
 
 
@@ -107,6 +110,122 @@ class TestParzenDensity:
     def test_points_outside_bounds_rejected(self):
         with pytest.raises(ValueError):
             ParzenDensity([11.0], 0.0, 10.0)
+
+
+class ReferenceDensity:
+    """The Parzen density as the ask used it before it was batched: one point at a time.
+
+    Plain Python floats throughout: the build loops over the sorted centers,
+    ``pdf`` sums one point's kernel terms left to right with ``math.exp``,
+    and ``sample`` draws ``integers`` then ``uniform`` per call.
+    """
+
+    def __init__(self, points, lo, hi, log_scale):
+        self.orig_lo, self.orig_hi, self.log_scale = lo, hi, log_scale
+        pts = [float(p) for p in points]
+        if log_scale:
+            lo, hi, pts = math.log(lo), math.log(hi), [math.log(p) for p in pts]
+        self.lo, self.hi = lo, hi
+        span, centers = hi - lo, sorted(pts)
+        n = len(centers)
+        widths = []
+        for i in range(n):
+            left = centers[i] - centers[i - 1] if i > 0 else span
+            right = centers[i + 1] - centers[i] if i < n - 1 else span
+            widths.append(min(span, max(span / min(100, n + 1), left, right)))
+        if centers:
+            centers.append(0.5 * (lo + hi))
+            widths.append(span)
+        cdf = NormalDist().cdf
+        self.kernels = [(c, w, cdf((lo - c) / w), cdf((hi - c) / w))
+                        for c, w in zip(centers, widths)]
+
+    def pdf(self, x):
+        if not self.orig_lo <= x <= self.orig_hi:
+            return 0.0
+        jacobian = 1.0
+        if self.log_scale:
+            jacobian, x = 1.0 / x, math.log(x)
+        if not self.kernels:
+            return jacobian / (self.hi - self.lo)
+        total = 0.0
+        for c, w, p_lo, p_hi in self.kernels:
+            z = (x - c) / w
+            total += math.exp(-0.5 * z * z) / (w * math.sqrt(2 * math.pi) * (p_hi - p_lo))
+        return jacobian * total / len(self.kernels)
+
+    def sample(self, rng):
+        if not self.kernels:
+            u = rng.uniform(self.lo, self.hi)
+            return math.exp(u) if self.log_scale else u
+        c, w, p_lo, p_hi = self.kernels[int(rng.integers(len(self.kernels)))]
+        u = rng.uniform(p_lo, p_hi)
+        x = c + w * NormalDist().inv_cdf(min(max(u, 1e-15), 1.0 - 1e-15))
+        x = min(max(x, self.lo), self.hi)
+        return math.exp(x) if self.log_scale else x
+
+
+def reference_choice(l_density, g_density, candidates):
+    """Index of the first candidate with the highest l/g, scored one at a time."""
+    best_i, best_score = None, -math.inf
+    for i, x in enumerate(candidates):
+        l, g = l_density.pdf(x), g_density.pdf(x)
+        score = math.inf if g == 0.0 else l / g
+        if score > best_score:
+            best_i, best_score = i, score
+    return best_i
+
+
+@st.composite
+def density_problems(draw):
+    """Bounds, good and bad points, and candidates, with the edge cases the ask meets.
+
+    Points and candidates include the bounds themselves and repeats; a
+    candidate may sit just outside the bounds, as ``exp(log(hi))`` can.
+    """
+    log_scale = draw(st.booleans())
+    if log_scale:
+        lo = draw(st.floats(1e-3, 1e3))
+        hi = lo * draw(st.floats(1.001, 1e4))
+    else:
+        lo = draw(st.floats(-100.0, 100.0))
+        hi = lo + draw(st.floats(1e-3, 1e3))
+    point = st.one_of(st.floats(lo, hi), st.sampled_from([lo, hi]))
+    good = draw(st.lists(point, max_size=12))
+    bad = draw(st.lists(point, max_size=30))
+    good += draw(st.lists(st.sampled_from(good), max_size=4)) if good else []
+    outside = st.sampled_from([math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)])
+    candidate = st.one_of(point, point, point, outside) if draw(st.booleans()) else point
+    candidates = draw(st.lists(candidate, min_size=1, max_size=24))
+    candidates += draw(st.lists(st.sampled_from(candidates), max_size=4))
+    return log_scale, lo, hi, good, bad, candidates
+
+
+class TestScreenedChoice:
+    @given(density_problems())
+    def test_choice_and_scores_match_per_candidate_loop(self, problem):
+        log_scale, lo, hi, good, bad, candidates = problem
+        model = RatioModel(ParzenDensity(good, lo, hi, log_scale),
+                           ParzenDensity(bad, lo, hi, log_scale))
+        l_ref = ReferenceDensity(good, lo, hi, log_scale)
+        g_ref = ReferenceDensity(bad, lo, hi, log_scale)
+        assert model.best(candidates) == reference_choice(l_ref, g_ref, candidates)
+        for density, ref in ((model.l, l_ref), (model.g, g_ref)):
+            got = density.pdf_many(candidates).tolist()
+            assert [v.hex() for v in got] == [ref.pdf(x).hex() for x in candidates]
+
+    @given(density_problems(), st.integers(0, 2**32 - 1), st.integers(1, 30))
+    def test_sample_many_matches_per_draw_sampling(self, problem, seed, n):
+        log_scale, lo, hi, good, _, _ = problem
+        drawn = ParzenDensity(good, lo, hi, log_scale).sample_many(np.random.default_rng(seed), n)
+        ref, rng = ReferenceDensity(good, lo, hi, log_scale), np.random.default_rng(seed)
+        assert [x.hex() for x in drawn.tolist()] == [ref.sample(rng).hex() for _ in range(n)]
+
+    def test_tied_candidates_first_index_wins(self):
+        model = RatioModel(ParzenDensity([1.0, 1.5], 0.0, 10.0), ParzenDensity([9.0], 0.0, 10.0))
+        # 1.25 scores highest; its copies tie exactly and both pass the screen.
+        assert model.best([8.0, 1.25, 5.0, 1.25]) == 1
+        assert model.best([0.0, 0.0, 10.0]) == 0
 
 
 class TestAskTell:
@@ -243,6 +362,17 @@ def test_run_bo_continues_past_failed_evaluations():
     assert best.value == min(t.value for t in history if t.state == COMPLETE)
 
 
+def test_run_bo_tells_each_trial_in_history_order():
+    told = []
+    history = []
+    _, curve = run_bo(FlakyPool(), PriorSet(), TpeConfig(), n_trials=12, batch=2, seed=4,
+                      history=history, on_tell=lambda trial, point: told.append((trial, point)))
+    assert [trial for trial, _ in told] == history
+    assert all(a is b for (a, _), b in zip(told, history))
+    assert [point for _, point in told if point is not None] == curve
+    assert [point is None for _, point in told] == [t.state == FAILED for t in history]
+
+
 class FailingPool(FlakyPool):
     """Pool stub whose every evaluation reports a worker error."""
 
@@ -272,14 +402,14 @@ class TestTrialLog:
     def test_log_file_replay(self, tmp_path):
         history = make_history([2.0, 0.5, 1.5])
         path = tmp_path / "trials.jsonl"
-        write_trial_log(history, path)
+        path.write_text("".join(trial_to_json(t) + "\n" for t in history))
         replayed = read_trial_log(path)
         assert [t.value for t in replayed] == [2.0, 0.5, 1.5]
         assert best_trial(replayed).value == 0.5
 
 
-def study_digest(priors, cfg, seed, batch):
-    """SHA-256 over the trial log of a 60-trial ``run_bo`` study, and its best value.
+def study_digest(priors, cfg, seed, batch, n_trials=60):
+    """SHA-256 over the trial log of an ``n_trials`` ``run_bo`` study, and its best value.
 
     Evaluations run on in-process lander workers, and the clock is a counter,
     so ``t_start``/``t_end`` (which break value ties in the split) are
@@ -287,7 +417,7 @@ def study_digest(priors, cfg, seed, batch):
     """
     history = []
     with spawn_workers("lander", batch, "in-process") as pool:
-        best, _ = run_bo(pool, priors, cfg, n_trials=60, batch=batch, seed=seed,
+        best, _ = run_bo(pool, priors, cfg, n_trials=n_trials, batch=batch, seed=seed,
                          clock=itertools.count().__next__, history=history)
     digest = hashlib.sha256()
     for t in history:
@@ -319,5 +449,24 @@ class TestGoldenProposals:
     )
     def test_study_matches_golden_digest(self, priors, cfg, seed, batch, expected):
         digest, best = study_digest(priors, cfg, seed, batch)
+        assert math.isfinite(best)
+        assert digest == expected
+
+    # Recorded with every ask building its own densities and scoring each
+    # candidate exactly, before the asks of a batch shared one build and
+    # candidates were screened.
+    @pytest.mark.parametrize(
+        "seed, batch, n_trials, expected",
+        [
+            # the benchmark's own study: default priors and config, batch 2
+            (301, 2, 60, "3b0b057e9885426e125e366c8c79280b3cbbcfd72b08d2e60aa046caa45f334d"),
+            # past 99 completed trials the bandwidth floor is span/100
+            (11, 2, 400, "5d55c2eac3784944f26974ce2cfd3d38fee7b5ff091d7079e423f47bfa8ce527"),
+            # three asks per batch see the same completed trials
+            (42, 3, 60, "9d3d369bd6fbe6f4a99110ef7149db4e5042ee0afc5891e42ef14ef17fea9f90"),
+        ],
+    )
+    def test_default_study_matches_golden_digest(self, seed, batch, n_trials, expected):
+        digest, best = study_digest(PriorSet(), TpeConfig(), seed, batch, n_trials)
         assert math.isfinite(best)
         assert digest == expected
