@@ -1,7 +1,7 @@
 """rollout_grid: barrier-synchronized worker pools for stepped simulations.
 
 A stepped simulation becomes a :class:`~rollout_grid.core.ScenarioSpec`
-(shapes, timing, and six behavior hooks); pools of persistent workers step
+(shapes, timing, six behavior hooks and an optional diagnostics hook); pools of persistent workers step
 many instances in lockstep over an in-process or socket transport; TPE and
 CEM drivers batch their evaluations through the pool; the ``bench`` CLI
 runs throughput, design-study, and training experiments.

@@ -190,15 +190,15 @@ def run_training(cfg: RunConfig, out_dir: str | Path):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pool, spawn_s = make_pool(cfg)
+    sink = _CsvSink(out / TRAINING_CSV, ["wall_clock_s", "mean_return", "mse_x", "mse_y"])
+
+    def record(point):
+        sink.write(point.wall_clock_s, point.mean_return, point.mse_x, point.mse_y)
+
     try:
-        policy, curve = run_cem(pool, cfg.cem, seed=cfg.seed)
+        policy, curve = run_cem(pool, cfg.cem, seed=cfg.seed, on_point=record)
     finally:
         pool.close()
-    sink = _CsvSink(out / TRAINING_CSV, ["wall_clock_s", "mean_return", "mse_x", "mse_y"])
-    try:
-        for point in curve:
-            sink.write(point.wall_clock_s, point.mean_return, point.mse_x, point.mse_y)
-    finally:
         sink.close()
     write_manifest(out, cfg, spawn_s=spawn_s,
                    final_mean_return=curve[-1].mean_return if curve else None)

@@ -143,6 +143,7 @@ def run_cem(
     *,
     seed: int = 0,
     clock=time.perf_counter,
+    on_point=None,
 ) -> tuple[LinearPolicy, list[TrainingPoint]]:
     """Train a linear policy on the pool's episodic environment.
 
@@ -153,6 +154,8 @@ def run_cem(
     vary. All seeds are independent of the worker count, so the curve's
     metric columns are identical for any W. Episodes that fail on a worker
     are recorded at the return floor and training continues.
+    ``on_point(point)``, if given, runs with each TrainingPoint as its
+    iteration ends.
     """
     cfg.validate()
     if iterations is None:
@@ -207,6 +210,8 @@ def run_cem(
                 mse_y=float(probe_mse[0][1]),
             )
         )
+        if on_point is not None:
+            on_point(curve[-1])
         if mean_return > best_mean_return:
             best_mean_return = mean_return
             best_policy = unflatten_policy(state.mean.copy(), obs_dim, act_dim)

@@ -22,7 +22,8 @@ from .tpe import TpeConfig
 from .tracker import TrackerEnvConfig
 
 MODES = ("throughput", "bo", "cem")
-ENVS = ("lander", "tracker")
+ENV_CONFIGS = {"lander": LanderEnvConfig, "tracker": TrackerEnvConfig}
+ENVS = tuple(ENV_CONFIGS)
 TRANSPORTS = ("in-process", "socket")
 PAD_MODES = ("busy", "sleep")
 
@@ -63,7 +64,7 @@ class RunConfig:
     cem: CemConfig = dataclasses.field(default_factory=CemConfig)
 
     def env_config(self) -> LanderEnvConfig | TrackerEnvConfig:
-        return self.lander if self.env == "lander" else self.tracker
+        return getattr(self, self.env)
 
 
 def _check(condition: bool, message: str) -> None:
@@ -189,12 +190,9 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 def env_config_from_dict(env: str, d: dict) -> LanderEnvConfig | TrackerEnvConfig:
     """Strictly parse one environment section (as shipped in an INIT frame)."""
-    if env == "lander":
-        cfg = _build(LanderEnvConfig, d, "lander")
-    elif env == "tracker":
-        cfg = _build(TrackerEnvConfig, d, "tracker")
-    else:
+    if env not in ENV_CONFIGS:
         raise ValidationError(f"env must be one of {ENVS}, got {env!r}")
+    cfg = _build(ENV_CONFIGS[env], d, env)
     try:
         cfg.validate()
     except Exception as exc:

@@ -2,10 +2,10 @@
 
 A free-form stepped simulation is reinterpreted as a :class:`ScenarioSpec`:
 fixed shapes (obs_dim, act_dim), a physics step size, a decision-to-physics
-ratio, a horizon, and six behavior hooks (reset / apply_action / advance_one /
-observe / reward / status). :class:`Episode` drives the spec through the
-single-episode reset/step contract; batching, auto-reset and transport live
-one layer up (see ``pool``).
+ratio, a horizon, six behavior hooks (reset / apply_action / advance_one /
+observe / reward / status) and an optional seventh, diagnostics. :class:`Episode`
+drives the spec through the single-episode reset/step contract; batching,
+auto-reset and transport live one layer up (see ``pool``).
 """
 
 from __future__ import annotations
@@ -75,6 +75,11 @@ class ScenarioSpec:
     return a truthy value to say that nothing changes from there on (further
     ticks would leave every observed quantity as it is); the decision step
     then stops ticking. A hook that returns ``None`` ticks every time.
+    The optional ``diagnostics`` hook returns a new dict that becomes the
+    step's info. It runs exactly once per decision step, after the advance,
+    on every outcome: a running, settled, terminated or truncated step, and
+    the numerical-failure step too, whose info then also carries
+    ``numerical_failure``.
     """
 
     sim_step_size: float  # physics tick, seconds

@@ -10,9 +10,11 @@ one worker is therefore observationally identical to serial scenario calls.
 
 Both transports sit behind one channel interface (``send``, ``receive``), and
 ``WorkerPool._exchange`` is the only code that waits for replies: INIT, every
-RESET and STEP barrier, and a restarted worker's reseed go through it. An
-in-process channel holds its reply as soon as ``send`` returns, so it is
-always ready and never enters the selector.
+RESET and STEP barrier, and a restarted worker's reseed go through it. It also
+records the frames when recording is on, and ``WorkerPool._interpret`` is the
+only code that turns a reply into a payload or an error. An in-process channel
+holds its reply as soon as ``send`` returns, so it is always ready and never
+enters the selector.
 
 Fault policy is fail-fast: a barrier timeout aborts the batch and poisons
 the pool. With ``restart_on_failure`` a socket worker that dies or whose
@@ -72,7 +74,6 @@ def _default_step_timeout() -> float:
 class BatchStep:
     """One barrier-synchronized batched step."""
 
-    actions: np.ndarray
     results: list[StepResult]
     step_index: int
     barrier_latency: float  # seconds from the first send to the last reply, on either transport
@@ -83,24 +84,18 @@ class InProcessChannel:
 
     conn = None  # nothing to select on: the reply is in once send returns
 
-    def __init__(self, frame_log: list | None = None, log_index: int = -1):
+    def __init__(self):
         self.runtime = WorkerRuntime()
         self.alive = True
-        self._frame_log = frame_log
-        self._log_index = log_index
         self._pending: tuple[int, bytes] | None = None
 
     def send(self, frame: bytes) -> None:
-        if self._frame_log is not None:
-            self._frame_log.append(("send", self._log_index, frame))
         tag, payload = wire.decode_frame(frame)
         reply = self.runtime.handle_frame(tag, payload)
         if reply is None:  # CLOSE
             self.alive = False
             self._pending = None
             return
-        if self._frame_log is not None:
-            self._frame_log.append(("recv", self._log_index, reply))
         self._pending = wire.decode_frame(reply)
 
     def receive(self) -> tuple[int, bytes] | None:
@@ -117,19 +112,14 @@ class InProcessChannel:
 class SocketChannel:
     """One worker subprocess behind the driver's end of a socket pair."""
 
-    def __init__(self, proc: subprocess.Popen, conn: socket.socket, stderr_path: Path,
-                 frame_log: list | None = None, log_index: int = -1):
+    def __init__(self, proc: subprocess.Popen, conn: socket.socket, stderr_path: Path):
         self.proc = proc
         self.conn = conn
         self.stderr_path = stderr_path
         self.alive = True
         self.reader = wire.FrameReader()
-        self._frame_log = frame_log
-        self._log_index = log_index
 
     def send(self, frame: bytes) -> None:
-        if self._frame_log is not None:
-            self._frame_log.append(("send", self._log_index, frame))
         try:
             self.conn.sendall(frame)
         except OSError as exc:
@@ -159,9 +149,6 @@ class SocketChannel:
             raise FrameError(str(exc)) from exc
         if frame is None:
             return None
-        if self._frame_log is not None:
-            tag, payload = frame
-            self._frame_log.append(("recv", self._log_index, wire.encode_frame(tag, payload)))
         if self.reader.pending_bytes:
             self.alive = False
             raise FrameError("trailing bytes after the reply")
@@ -204,19 +191,15 @@ def _subprocess_env() -> dict:
 class WorkerPool:
     """Fixed-size pool with broadcast/collect barrier semantics."""
 
-    def __init__(self, env: str, n_workers: int, channels: list,
-                 obs_dim: int, act_dim: int, n_s: int, step_timeout_s: float,
-                 reward_floor: float, restart_spec: dict | None, frame_log: list | None,
+    def __init__(self, n_workers: int, channels: list, obs_dim: int, act_dim: int,
+                 step_timeout_s: float, restart_spec: dict | None, frame_log: list | None,
                  stderr_dir: tempfile.TemporaryDirectory | None = None,
                  ready_timeout_s: float = DEFAULT_READY_TIMEOUT_S):
-        self.env = env
         self.n_workers = n_workers
         self.obs_dim = obs_dim
         self.act_dim = act_dim
-        self.n_s = n_s
         self.step_timeout_s = step_timeout_s
-        self.reward_floor = reward_floor
-        self.frame_log = frame_log
+        self.frame_log = frame_log  # ("send" | "recv", worker index, frame bytes), or None
         self._channels = channels
         self._restart_spec = restart_spec  # INIT payload template, or None
         self._stderr_dir = stderr_dir
@@ -255,7 +238,7 @@ class WorkerPool:
     def step_all(self, actions) -> BatchStep:
         actions = self._check_actions(actions, self.n_workers)
         results, latency = self._step(list(range(self.n_workers)), actions, raise_on_error=True)
-        return BatchStep(actions, results, self._step_counter, latency)
+        return BatchStep(results, self._step_counter, latency)
 
     def step_some(self, indices, actions, raise_on_error: bool = True) -> list:
         actions = self._check_actions(actions, len(indices))
@@ -279,8 +262,10 @@ class WorkerPool:
             return
         self._closed = True
         close_frame = wire.encode_frame(wire.TAG_CLOSE)
-        for chan in self._channels:
+        for idx, chan in enumerate(self._channels):
             if chan.alive:
+                if self.frame_log is not None:
+                    self.frame_log.append(("send", idx, close_frame))
                 try:
                     chan.send(close_frame)
                 except RolloutError:
@@ -331,23 +316,16 @@ class WorkerPool:
                   for idx in indices]
         outcomes, _, _ = self._exchange(indices, frames, self._ready_timeout_s)
         for idx, outcome in zip(indices, outcomes):
-            if isinstance(outcome, tuple) and outcome[0] == wire.TAG_READY:
-                continue
-            tail = self._channels[idx].stderr_tail() or "<empty>"
-            if outcome is None or isinstance(outcome, WorkerLost):
+            if outcome is None:
+                tail = self._channels[idx].stderr_tail() or "<empty>"
                 raise SpawnTimeout(
-                    f"worker {idx} did not acknowledge INIT within {self._ready_timeout_s:.0f}s: "
-                    f"{outcome or 'no reply'}; stderr tail: {tail}", index=idx
+                    f"worker {idx} did not acknowledge INIT within {self._ready_timeout_s:.0f}s; "
+                    f"stderr tail: {tail}", index=idx
                 )
-            if isinstance(outcome, FrameError):
-                raise SpawnError(
-                    f"worker {idx} sent a corrupt frame: {outcome}; stderr tail: {tail}", index=idx
-                )
-            tag, payload = outcome
-            if tag == wire.TAG_ERR:
-                code, message = wire.decode_error(payload)
-                raise SpawnError(f"worker {idx} failed INIT: [{code}] {message}", index=idx)
-            raise SpawnError(f"worker {idx} sent tag 0x{tag:02X} instead of READY", index=idx)
+            reply = self._interpret(idx, outcome, wire.TAG_READY)
+            if isinstance(reply, BaseException):
+                kind = SpawnTimeout if isinstance(reply, WorkerLost) else SpawnError
+                raise kind(f"worker {idx} failed INIT: {reply}", index=idx) from reply
 
     def _barrier(self, indices, frames, expect: int):
         """One RESET or STEP barrier: send one frame per index, await one reply per index.
@@ -375,14 +353,18 @@ class WorkerPool:
         like ``indices``, seconds from the first send to the last reply,
         sorted indices with no reply by the deadline). An outcome is a
         ``(tag, payload)`` reply, the WorkerLost or FrameError that ended the
-        slot, or None for a worker with no reply by the deadline.
+        slot, or None for a worker with no reply by the deadline. With
+        recording on, each frame sent and each reply received is logged.
         """
+        log = self.frame_log
         outcomes: list = [None] * len(indices)
         pending: dict[int, int] = {}  # worker index -> slot
         ready: list[int] = []
         start = time.perf_counter()
         for slot, idx in enumerate(indices):
             chan = self._channels[idx]
+            if log is not None:
+                log.append(("send", idx, frames[slot]))
             try:
                 chan.send(frames[slot])
             except WorkerLost as exc:
@@ -409,6 +391,8 @@ class WorkerPool:
                     if outcome is None:
                         continue
                     latency = time.perf_counter() - start
+                    if log is not None:
+                        log.append(("recv", idx, wire.encode_frame(*outcome)))
                 except (WorkerLost, FrameError) as exc:
                     self._unwatch(idx)
                     outcome = exc
@@ -427,7 +411,10 @@ class WorkerPool:
             self._watched.discard(idx)
 
     def _interpret(self, idx: int, outcome, expect: int):
-        """Payload bytes of the expected reply, or the exception that fails the slot."""
+        """Payload bytes of the expected reply, or the exception that fails the slot.
+
+        Barriers, INIT and the reseed all read replies through this method.
+        """
         if isinstance(outcome, WorkerLost):
             tail = self._channels[idx].stderr_tail() or "<empty>"
             return WorkerLost(f"worker {idx} died: {outcome}; stderr tail: {tail}")
@@ -437,7 +424,9 @@ class WorkerPool:
         if tag == wire.TAG_ERR:
             return WorkerError(*wire.decode_error(payload))
         if tag != expect:
-            return ProtocolError(f"expected tag 0x{expect:02X}, worker sent 0x{tag:02X}")
+            return ProtocolError(
+                f"worker {idx} sent {wire.TAG_NAMES[tag]} instead of {wire.TAG_NAMES[expect]}"
+            )
         return payload
 
     def _maybe_restart(self, idx: int, cause: BaseException):
@@ -450,25 +439,26 @@ class WorkerPool:
             return None
         self._unwatch(idx)  # the next exchange registers the new channel
         self._channels[idx].close(grace_s=0.1)
-        self._channels[idx] = _launch_socket_worker(idx, self.frame_log, self._stderr_dir.name)
+        self._channels[idx] = _launch_socket_worker(idx, self._stderr_dir.name)
         self._init([idx], self._restart_spec)
         obs = np.zeros(self.obs_dim)
         last = self._last_reset[idx]
         if last is not None:
             frame = wire.encode_frame(wire.TAG_RESET, wire.encode_reset(*last))
             (outcome,), _, _ = self._exchange([idx], [frame], self.step_timeout_s)
-            if isinstance(outcome, tuple) and outcome[0] == wire.TAG_RESETRES:
-                obs = wire.decode_vector(outcome[1])[0]
+            reply = None if outcome is None else self._interpret(idx, outcome, wire.TAG_RESETRES)
+            if isinstance(reply, bytes):
+                obs = wire.decode_vector(reply)[0]
         return StepResult(
             observation=obs,
-            reward=self.reward_floor,
+            reward=REWARD_FLOOR,
             terminated=True,
             truncated=False,
             info={"restarted": True, "cause": str(cause)},
         )
 
 
-def _launch_socket_worker(idx: int, frame_log, stderr_dir: str) -> SocketChannel:
+def _launch_socket_worker(idx: int, stderr_dir: str) -> SocketChannel:
     """Spawn the process for worker ``idx`` on its own socket pair.
 
     The child inherits one end and the parent closes its copy of that end,
@@ -489,7 +479,7 @@ def _launch_socket_worker(idx: int, frame_log, stderr_dir: str) -> SocketChannel
     except BaseException:
         conn.close()
         raise
-    return SocketChannel(proc, conn, stderr_path, frame_log, idx)
+    return SocketChannel(proc, conn, stderr_path)
 
 
 def spawn_workers(
@@ -499,7 +489,6 @@ def spawn_workers(
     *,
     env_config: dict | None = None,
     n_s: int = 1,
-    reward_floor: float = REWARD_FLOOR,
     pad_ms: float = 0.0,
     pad_mode: str = "sleep",
     step_delay_max_ms: float = 0.0,
@@ -530,7 +519,6 @@ def spawn_workers(
         "env": env,
         "env_config": env_config or {},
         "n_s": n_s,
-        "reward_floor": reward_floor,
         "pad_ms": pad_ms,
         "pad_mode": pad_mode,
         "step_delay_max_ms": step_delay_max_ms,
@@ -542,13 +530,13 @@ def spawn_workers(
     if transport == "socket":
         stderr_dir = tempfile.TemporaryDirectory(prefix="rollout-grid-")
     channels: list = []
-    pool = WorkerPool(env, n_workers, channels, obs_dim, act_dim, n_s, step_timeout, reward_floor,
+    pool = WorkerPool(n_workers, channels, obs_dim, act_dim, step_timeout,
                       init_spec if restart_on_failure else None, frame_log, stderr_dir,
                       ready_timeout_s)
     try:
         for idx in range(n_workers):
-            channels.append(_launch_socket_worker(idx, frame_log, stderr_dir.name)
-                            if transport == "socket" else InProcessChannel(frame_log, idx))
+            channels.append(_launch_socket_worker(idx, stderr_dir.name)
+                            if transport == "socket" else InProcessChannel())
         pool._init(list(range(n_workers)), init_spec)
     except BaseException:
         pool._close(grace_s=0.0)

@@ -33,9 +33,9 @@ TAG_RESETRES = 0x82
 TAG_STEPRES = 0x83
 TAG_ERR = 0xFF
 
-KNOWN_TAGS = frozenset(
-    {TAG_INIT, TAG_RESET, TAG_STEP, TAG_CLOSE, TAG_READY, TAG_RESETRES, TAG_STEPRES, TAG_ERR}
-)
+TAG_NAMES = {TAG_INIT: "INIT", TAG_RESET: "RESET", TAG_STEP: "STEP", TAG_CLOSE: "CLOSE",
+             TAG_READY: "READY", TAG_RESETRES: "RESETRES", TAG_STEPRES: "STEPRES", TAG_ERR: "ERR"}
+KNOWN_TAGS = frozenset(TAG_NAMES)
 
 # Largest declared length (tag byte + payload) of a frame. Real frames are a
 # few KB; a larger prefix means a corrupt stream, not a frame to wait for.

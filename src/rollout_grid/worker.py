@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import wire
-from .core import Episode, REWARD_FLOOR, episode_seed
+from .core import Episode, episode_seed
 from .errors import ProtocolError
 from .registry import make_scenario
 
@@ -31,21 +31,22 @@ def _busy_wait(seconds: float) -> None:
         pass
 
 
+class _InitConfig(dict):
+    """An INIT payload: reading a key it lacks fails the INIT, naming the key."""
+
+    def __missing__(self, key):
+        raise ProtocolError(f"INIT lacks the key {key!r}")
+
+
 class WorkerRuntime:
     """Stateful frame handler shared by the in-process and socket transports."""
 
     def __init__(self):
         self.episode: Episode | None = None
-        self.worker_index = -1
-        self.n_s = 1
         self.root_seed = 0
         self.episode_index = 0
         self.reset_options: dict = {}
         self.step_count = 0  # logical clock: STEP frames served
-        self._pad_s = 0.0
-        self._pad_busy = False
-        self._delay_rng: np.random.Generator | None = None
-        self._delay_max_s = 0.0
 
     # -- request handling ---------------------------------------------------
 
@@ -65,20 +66,20 @@ class WorkerRuntime:
             return wire.encode_frame(wire.TAG_ERR, wire.encode_error(exc))
 
     def _handle_init(self, payload: bytes) -> bytes:
-        cfg = json.loads(payload.decode())
-        self.worker_index = int(cfg.get("worker_index", 0))
-        self.n_s = int(cfg.get("n_s", 1))
+        # spawn_workers sends every key, so the defaults live there only.
+        cfg = _InitConfig(json.loads(payload.decode()))
+        self.worker_index = int(cfg["worker_index"])
+        self.n_s = int(cfg["n_s"])
         if self.n_s < 1:
             raise ProtocolError(f"n_s must be >= 1, got {self.n_s}")
-        spec = make_scenario(cfg["env"], cfg.get("env_config") or {})
-        self.episode = Episode(spec, reward_floor=float(cfg.get("reward_floor", REWARD_FLOOR)))
-        self._pad_s = float(cfg.get("pad_ms", 0.0)) / 1e3
-        self._pad_busy = cfg.get("pad_mode", "sleep") == "busy"
-        self._delay_max_s = float(cfg.get("step_delay_max_ms", 0.0)) / 1e3
-        if self._delay_max_s > 0:
-            self._delay_rng = np.random.default_rng(
-                np.random.SeedSequence((int(cfg.get("delay_seed", 0)), self.worker_index))
-            )
+        self._pad_s = float(cfg["pad_ms"]) / 1e3
+        self._pad_busy = cfg["pad_mode"] == "busy"
+        self._delay_max_s = float(cfg["step_delay_max_ms"]) / 1e3
+        self._delay_rng = np.random.default_rng(
+            np.random.SeedSequence((int(cfg["delay_seed"]), self.worker_index))
+        )
+        # Set last: a STEP or RESET after a failed INIT is refused.
+        self.episode = Episode(make_scenario(cfg["env"], cfg["env_config"]))
         ready = wire.dumps_canonical({"worker_index": self.worker_index, "pid": os.getpid()})
         return wire.encode_frame(wire.TAG_READY, ready)
 
@@ -119,7 +120,7 @@ class WorkerRuntime:
             obs = self.episode.reset(
                 episode_seed(self.root_seed, self.episode_index), self.reset_options
             )
-        if self._delay_rng is not None:
+        if self._delay_max_s > 0:
             time.sleep(float(self._delay_rng.uniform(0.0, self._delay_max_s)))
         body = wire.encode_step_result(obs, total_reward, result.terminated, result.truncated, info)
         return wire.encode_frame(wire.TAG_STEPRES, body)

@@ -151,6 +151,35 @@ class TestTraining:
         b = [r[1:] for r in read_curve_csv(tmp_path / "b" / TRAINING_CSV)]
         assert a == b
 
+    def test_interrupted_training_leaves_the_finished_rows(self, tmp_path, monkeypatch):
+        # An iteration is three 15-step waves (probe + two of two candidates),
+        # so the 100th step falls in the third iteration, after two rows.
+        cfg = cem_config(cem={"iterations": 4, "population": 4, "episodes_per_candidate": 1})
+        run_training(cfg, tmp_path / "full")
+        real_make_pool = bench.make_pool
+
+        def interrupting_pool(cfg):
+            pool, spawn_s = real_make_pool(cfg)
+            step_some, steps = pool.step_some, itertools.count(1)
+
+            def step_then_interrupt(*args, **kwargs):
+                if next(steps) == 100:
+                    raise KeyboardInterrupt
+                return step_some(*args, **kwargs)
+
+            pool.step_some = step_then_interrupt
+            return pool, spawn_s
+
+        monkeypatch.setattr(bench, "make_pool", interrupting_pool)
+        with pytest.raises(KeyboardInterrupt):
+            run_training(cfg, tmp_path / "cut")
+        with open(tmp_path / "cut" / TRAINING_CSV, newline="") as fh:
+            assert next(csv.reader(fh)) == ["wall_clock_s", "mean_return", "mse_x", "mse_y"]
+        cut = [r[1:] for r in read_curve_csv(tmp_path / "cut" / TRAINING_CSV)]
+        full = [r[1:] for r in read_curve_csv(tmp_path / "full" / TRAINING_CSV)]
+        assert len(full) == 4
+        assert cut == full[:2]
+
 
 class TestPlotData:
     def test_empty_curve_writes_header_only(self, tmp_path):

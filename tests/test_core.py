@@ -248,3 +248,35 @@ def test_step_stops_ticking_at_first_settled_advance(settle_at, ticks):
     assert sc.log == ["apply"] + ["advance"] * ticks + ["observe", "reward", "status"]
     assert not result.done
     assert math.isclose(ep.clock.sim_time, 5 * 0.005)
+
+
+class DiagnosingScenario(SettlingScenario):
+    """Settling scenario with a diagnostics hook that logs each call."""
+
+    def spec(self):
+        return dataclasses.replace(super().spec(), diagnostics=self._diagnostics)
+
+    def _diagnostics(self):
+        self.log.append("diagnostics")
+        return {"ticks_seen": self.ticks}
+
+
+@pytest.mark.parametrize("outcome", ["running", "settled", "truncated", "numerical_failure"])
+def test_diagnostics_runs_once_per_step_after_the_advance(outcome):
+    sc = DiagnosingScenario(settle_at=2 if outcome == "settled" else None, k=5,
+                            horizon=1 if outcome == "truncated" else 3)
+    ep = Episode(sc.spec())
+    ep.reset(0)
+    sc.log.clear()
+    if outcome == "numerical_failure":
+        sc.obs_value = np.array([np.nan, 0.0, 0.0])
+    result = ep.step(np.zeros(2))
+    ticks = 2 if outcome == "settled" else 5
+    assert sc.log.count("diagnostics") == 1
+    assert sc.log.index("diagnostics") > ticks  # after "apply" and every "advance"
+    assert result.info["ticks_seen"] == ticks
+    assert result.truncated == (outcome == "truncated")
+    if outcome == "numerical_failure":
+        assert result.terminated and result.info["numerical_failure"] is True
+    else:
+        assert "numerical_failure" not in result.info

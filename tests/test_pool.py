@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 import threading
@@ -21,6 +22,7 @@ from rollout_grid.errors import (
 )
 from rollout_grid.pool import spawn_workers
 from rollout_grid.registry import make_scenario
+from rollout_grid.worker import WorkerRuntime
 
 from conftest import assert_step_results_equal, serial_reference
 
@@ -223,6 +225,47 @@ def test_transports_exchange_identical_frames(rng):
             seq.setdefault((kind, idx), []).append((tag, payload))
         return seq
     assert ordered(logs["in-process"]) == ordered(logs["socket"])
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_frame_log_records_each_workers_whole_conversation(transport):
+    with spawn_workers("tracker", 2, transport, record_frames=True) as pool:
+        pool.reset_all([1, 2])
+        for _ in range(3):
+            pool.step_all(np.zeros((2, 12)))
+        log = pool.frame_log
+    for idx in range(2):
+        sent = [wire.decode_frame(f)[0] for kind, i, f in log if kind == "send" and i == idx]
+        received = [wire.decode_frame(f)[0] for kind, i, f in log if kind == "recv" and i == idx]
+        assert sent == ([wire.TAG_INIT, wire.TAG_RESET] + [wire.TAG_STEP] * 3
+                        + [wire.TAG_CLOSE])
+        assert received == [wire.TAG_READY, wire.TAG_RESETRES] + [wire.TAG_STEPRES] * 3
+
+
+INIT_KEYS = ["env", "env_config", "worker_index", "n_s", "pad_ms", "pad_mode",
+             "step_delay_max_ms", "delay_seed"]
+
+
+@pytest.mark.parametrize("key", INIT_KEYS)
+def test_init_lacking_a_key_fails_spawn_naming_worker_and_key(monkeypatch, key):
+    class KeyDroppingRuntime(WorkerRuntime):
+        """Worker runtime that loses ``key`` from worker 1's INIT."""
+
+        def handle_frame(self, tag, payload):
+            if tag == wire.TAG_INIT:
+                cfg = json.loads(payload)
+                if cfg["worker_index"] == 1:
+                    del cfg[key]
+                    payload = wire.dumps_canonical(cfg)
+            return super().handle_frame(tag, payload)
+
+    monkeypatch.setattr(pool_module, "WorkerRuntime", KeyDroppingRuntime)
+    with pytest.raises(SpawnError) as excinfo:
+        spawn_workers("tracker", 2, "in-process")
+    err = excinfo.value
+    assert not isinstance(err, SpawnTimeout)
+    assert err.index == 1 and "worker 1" in str(err)
+    assert repr(key) in str(err)
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
