@@ -32,7 +32,7 @@ from .lander import (
     simulate_touchdown_closed_form,
 )
 from .pool import BatchStep, WorkerPool, spawn_workers
-from .registry import env_names, make_scenario
+from .registry import make_scenario
 from .tpe import Trial, TpeConfig, run_bo, tpe_ask, tpe_split, tpe_tell
 from .tracker import TrackerEnvConfig, TrackerWeights, compose_observation, tracker_reward
 

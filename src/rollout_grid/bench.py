@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .cem import run_cem
-from .config import RunConfig, config_to_dict, env_config_to_dict
+from .config import RunConfig, config_to_dict
 from .pool import WorkerPool, spawn_workers
 from .tpe import run_bo, trial_to_json
 
@@ -47,7 +47,7 @@ def make_pool(cfg: RunConfig, n_env: int | None = None) -> tuple[WorkerPool, flo
         cfg.env,
         n_env or cfg.n_env,
         cfg.transport,
-        env_config=env_config_to_dict(cfg.env_config()),
+        env_config=config_to_dict(cfg.env_config()),
         n_s=cfg.n_s,
         pad_ms=cfg.pad_ms,
         pad_mode=cfg.pad_mode,

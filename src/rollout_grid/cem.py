@@ -75,7 +75,7 @@ class CemConfig:
     # Command of the fixed evaluation episode behind the curve's MSE columns.
     probe_command: tuple[float, float, float] = (0.5, -0.45, 0.0)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
         if self.population < 2:
@@ -157,7 +157,6 @@ def run_cem(
     ``on_point(point)``, if given, runs with each TrainingPoint as its
     iteration ends.
     """
-    cfg.validate()
     if iterations is None:
         iterations = cfg.iterations
     obs_dim, act_dim = pool.obs_dim, pool.act_dim

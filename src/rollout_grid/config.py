@@ -2,9 +2,11 @@
 
 The schema is closed: unknown keys are rejected (with a close-match
 suggestion, catching the classic ``n_envs`` typo before a long experiment),
-missing keys fall back to defaults, and every value is type- and
-range-checked. ``config_to_dict`` echoes a fully-defaulted document for the
-run manifest, and parsing that echo yields the identical config.
+missing keys fall back to defaults, and every value is type-checked here.
+Each config dataclass checks its own values when it is built, wherever that
+happens; parsing adds the key path to its error. ``config_to_dict`` echoes a
+fully-defaulted document for the run manifest, and parsing that echo yields
+the identical config.
 """
 
 from __future__ import annotations
@@ -16,14 +18,18 @@ import math
 import typing
 
 from .cem import CemConfig
-from .errors import ParseError, ValidationError
-from .lander import LanderEnvConfig
+from .errors import ParseError, RolloutError, ValidationError
+from .lander import LanderEnvConfig, LanderScenario
 from .tpe import TpeConfig
-from .tracker import TrackerEnvConfig
+from .tracker import TrackerEnvConfig, TrackerScenario
 
 MODES = ("throughput", "bo", "cem")
-ENV_CONFIGS = {"lander": LanderEnvConfig, "tracker": TrackerEnvConfig}
-ENVS = tuple(ENV_CONFIGS)
+#: The one table of environments: name -> (scenario class, config class).
+ENVIRONMENTS = {
+    "lander": (LanderScenario, LanderEnvConfig),
+    "tracker": (TrackerScenario, TrackerEnvConfig),
+}
+ENVS = tuple(ENVIRONMENTS)
 TRANSPORTS = ("in-process", "socket")
 PAD_MODES = ("busy", "sleep")
 
@@ -34,12 +40,26 @@ class ThroughputConfig:
     sweep: tuple[int, ...] = ()  # extra n_env values to measure after cfg.n_env
     repeats: int = 1
 
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ValidationError("steps must be >= 1")
+        if self.repeats < 1:
+            raise ValidationError("repeats must be >= 1")
+        if any(w < 1 for w in self.sweep):
+            raise ValidationError("sweep entries must be >= 1")
+
 
 @dataclasses.dataclass(frozen=True)
 class BoConfig:
     n_trials: int = 60
     batch: int = 0  # 0 means "use n_env"
     tpe: TpeConfig = dataclasses.field(default_factory=TpeConfig)
+
+    def __post_init__(self):
+        if self.n_trials < 1:
+            raise ValidationError("n_trials must be >= 1")
+        if self.batch < 0:
+            raise ValidationError("batch must be >= 0 (0 selects n_env)")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,40 +83,32 @@ class RunConfig:
     bo: BoConfig = dataclasses.field(default_factory=BoConfig)
     cem: CemConfig = dataclasses.field(default_factory=CemConfig)
 
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.env not in ENVS:
+            raise ValidationError(f"env must be one of {ENVS}, got {self.env!r}")
+        if self.mode == "bo" and self.env != "lander":
+            raise ValidationError("bo mode optimizes the lander env")
+        if self.mode == "cem" and self.env != "tracker":
+            raise ValidationError("cem mode trains on the tracker env")
+        if self.n_env < 1:
+            raise ValidationError("n_env must be >= 1")
+        if self.n_s < 1:
+            raise ValidationError("n_s must be >= 1")
+        if self.transport not in TRANSPORTS:
+            raise ValidationError(f"transport must be one of {TRANSPORTS}, got {self.transport!r}")
+        if self.pad_ms < 0:
+            raise ValidationError("pad_ms must be >= 0")
+        if self.pad_mode not in PAD_MODES:
+            raise ValidationError(f"pad_mode must be one of {PAD_MODES}, got {self.pad_mode!r}")
+        if self.step_delay_max_ms < 0:
+            raise ValidationError("step_delay_max_ms must be >= 0")
+        if self.bo.batch > self.n_env:
+            raise ValidationError("bo.batch must not exceed n_env")
+
     def env_config(self) -> LanderEnvConfig | TrackerEnvConfig:
         return getattr(self, self.env)
-
-
-def _check(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValidationError(message)
-
-
-def _validate(cfg: RunConfig) -> RunConfig:
-    _check(cfg.mode in MODES, f"mode must be one of {MODES}, got {cfg.mode!r}")
-    _check(cfg.env in ENVS, f"env must be one of {ENVS}, got {cfg.env!r}")
-    _check(cfg.mode != "bo" or cfg.env == "lander", "bo mode optimizes the lander env")
-    _check(cfg.mode != "cem" or cfg.env == "tracker", "cem mode trains on the tracker env")
-    _check(cfg.n_env >= 1, "n_env must be >= 1")
-    _check(cfg.n_s >= 1, "n_s must be >= 1")
-    _check(cfg.transport in TRANSPORTS, f"transport must be one of {TRANSPORTS}, got {cfg.transport!r}")
-    _check(cfg.pad_ms >= 0, "pad_ms must be >= 0")
-    _check(cfg.pad_mode in PAD_MODES, f"pad_mode must be one of {PAD_MODES}, got {cfg.pad_mode!r}")
-    _check(cfg.step_delay_max_ms >= 0, "step_delay_max_ms must be >= 0")
-    _check(cfg.throughput.steps >= 1, "throughput.steps must be >= 1")
-    _check(cfg.throughput.repeats >= 1, "throughput.repeats must be >= 1")
-    _check(all(w >= 1 for w in cfg.throughput.sweep), "throughput.sweep entries must be >= 1")
-    _check(cfg.bo.n_trials >= 1, "bo.n_trials must be >= 1")
-    _check(cfg.bo.batch >= 0, "bo.batch must be >= 0 (0 selects n_env)")
-    if cfg.bo.batch:
-        _check(cfg.bo.batch <= cfg.n_env, "bo.batch must not exceed n_env")
-    for section, obj in (("bo.tpe", cfg.bo.tpe), ("cem", cfg.cem),
-                         ("lander", cfg.lander), ("tracker", cfg.tracker)):
-        try:
-            obj.validate()
-        except Exception as exc:
-            raise ValidationError(f"{section}: {exc}") from exc
-    return cfg
 
 
 def _coerce(value, ftype, path: str):
@@ -158,13 +170,17 @@ def _build(dc_type, d: dict, path: str):
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             where = f"{path}.{name}" if path else name
             raise ParseError(f"missing required key {where!r}")
-    return dc_type(**kwargs)
+    # Each config checks itself when built; its error gains the key path here.
+    try:
+        return dc_type(**kwargs)
+    except (ValueError, RolloutError) as exc:
+        raise ValidationError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
 def config_from_dict(d: dict) -> RunConfig:
     if not isinstance(d, dict):
         raise ParseError("configuration document must be a JSON object")
-    return _validate(_build(RunConfig, d, ""))
+    return _build(RunConfig, d, "")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -183,22 +199,13 @@ def _to_jsonable(value):
     return value
 
 
-def config_to_dict(cfg: RunConfig) -> dict:
-    """Fully-defaulted echo of the configuration, reparseable byte-for-byte."""
+def config_to_dict(cfg) -> dict:
+    """Fully-defaulted echo of a config or one of its sections, reparseable byte-for-byte."""
     return _to_jsonable(cfg)
 
 
 def env_config_from_dict(env: str, d: dict) -> LanderEnvConfig | TrackerEnvConfig:
     """Strictly parse one environment section (as shipped in an INIT frame)."""
-    if env not in ENV_CONFIGS:
+    if env not in ENVIRONMENTS:
         raise ValidationError(f"env must be one of {ENVS}, got {env!r}")
-    cfg = _build(ENV_CONFIGS[env], d, env)
-    try:
-        cfg.validate()
-    except Exception as exc:
-        raise ValidationError(f"{env}: {exc}") from exc
-    return cfg
-
-
-def env_config_to_dict(cfg: LanderEnvConfig | TrackerEnvConfig) -> dict:
-    return _to_jsonable(cfg)
+    return _build(ENVIRONMENTS[env][1], d, env)

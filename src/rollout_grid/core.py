@@ -153,10 +153,6 @@ class Episode:
         self._active = False
         self._last_obs: np.ndarray | None = None
 
-    @property
-    def active(self) -> bool:
-        return self._active
-
     def reset(self, seed: int, options: dict | None = None) -> np.ndarray:
         options = dict(options or {})
         rng = make_rng(seed)

@@ -36,7 +36,7 @@ class LanderDesign:
     beta: float
     alpha2: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not (self.f_y > 0 and math.isfinite(self.f_y)):
             raise InvalidParamsError(f"f_y must be positive and finite, got {self.f_y}")
         if not 0 <= self.alpha2 < math.pi / 2:
@@ -63,7 +63,7 @@ class LanderParams:
     a_ref: float = 50.0  # m/s^2 reference deceleration in the objective
     alpha_w: float = 1.0  # energy-penalty weight
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("mass", "gravity", "stop_length", "a_ref"):
             if getattr(self, name) <= 0:
                 raise InvalidParamsError(f"{name} must be positive")
@@ -88,7 +88,7 @@ class PriorSet:
     alpha2: tuple[float, float] = (0.2, 1.2)
     beta: tuple[float, float] = (0.0, 0.6)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not (0 < self.f_y[0] <= self.f_y[1]):
             raise InvalidParamsError(f"need 0 < f_min <= f_max, got {self.f_y}")
         if not (0 < self.alpha2[0] <= self.alpha2[1] < math.pi / 2):
@@ -127,8 +127,6 @@ def simulate_touchdown_closed_form(design: LanderDesign, params: LanderParams) -
     absorbed by the rigid stop. Zero drop height short-circuits to an
     impact-free result.
     """
-    design.validate()
-    params.validate()
     c = geometry_factor(design.alpha2, design.beta)
     v0 = touchdown_speed(params)
     e_init = params.mass * params.gravity * params.drop_height
@@ -175,8 +173,6 @@ class TouchdownIntegrator:
     """
 
     def __init__(self, design: LanderDesign, params: LanderParams, drop_height: float | None = None):
-        design.validate()
-        params.validate()
         self.design = design
         self.params = params
         h = params.drop_height if drop_height is None else float(drop_height)
@@ -274,7 +270,6 @@ def objective(result: TouchdownResult, params: LanderParams) -> float:
 
 def sample_design(priors: PriorSet, rng: np.random.Generator) -> LanderDesign:
     """Draw one design; fixed draw order f_y, beta, alpha2."""
-    priors.validate()
     lo, hi = priors.f_y
     f_y = lo if lo == hi else math.exp(rng.uniform(math.log(lo), math.log(hi)))
     beta = rng.uniform(*priors.beta)
@@ -289,9 +284,7 @@ class LanderEnvConfig:
     sim_dt: float = 1e-3  # integrator tick inside the scenario
     window_s: float = 2.0  # simulated time covered by the single decision step
 
-    def validate(self) -> None:
-        self.params.validate()
-        self.priors.validate()
+    def __post_init__(self):
         if self.sim_dt <= 0 or self.window_s <= 0:
             raise InvalidParamsError("sim_dt and window_s must be positive")
 
@@ -313,7 +306,6 @@ class LanderScenario:
 
     def __init__(self, config: LanderEnvConfig | None = None):
         self.config = config or LanderEnvConfig()
-        self.config.validate()
         self._integ: TouchdownIntegrator | None = None
         self._design = self.config.priors.center_design()
 

@@ -1,28 +1,17 @@
-"""Environment registry: names accepted over INIT and by the CLI."""
+"""Scenarios by environment name, as accepted over INIT and by the CLI."""
 
 from __future__ import annotations
 
-from .config import env_config_from_dict
+from .config import ENVIRONMENTS, ENVS, env_config_from_dict
 from .core import ScenarioSpec
 from .errors import SpawnError
-from .lander import LanderScenario
-from .tracker import TrackerScenario
-
-_FACTORIES = {
-    "lander": LanderScenario,
-    "tracker": TrackerScenario,
-}
-
-
-def env_names() -> tuple[str, ...]:
-    return tuple(sorted(_FACTORIES))
 
 
 def make_scenario(env: str, env_config: dict | None = None) -> ScenarioSpec:
-    if env not in _FACTORIES:
-        raise SpawnError(f"unknown environment {env!r}; known: {env_names()}")
-    cfg = env_config_from_dict(env, env_config or {})
-    return _FACTORIES[env](cfg).spec()
+    if env not in ENVIRONMENTS:
+        raise SpawnError(f"unknown environment {env!r}; known: {ENVS}")
+    scenario_type, _ = ENVIRONMENTS[env]
+    return scenario_type(env_config_from_dict(env, env_config or {})).spec()
 
 
 def scenario_dims(env: str, env_config: dict | None = None) -> tuple[int, int]:

@@ -60,19 +60,14 @@ class TpeConfig:
     n_startup: int = 10  # random trials before the estimator engages
     gamma: float = 0.25  # quantile of the good/bad split
     n_candidates: int = 24  # samples drawn from the good density per ask
-    # Kernel width of an observed point: max distance to its sorted
-    # neighbors, floored at (hi-lo)/min(100, n+1) and capped at (hi-lo).
-    bandwidth_rule: str = "neighbor-max"
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_startup < 1:
             raise ValueError("n_startup must be >= 1")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
         if self.n_candidates < 1:
             raise ValueError("n_candidates must be >= 1")
-        if self.bandwidth_rule != "neighbor-max":
-            raise ValueError(f"unknown bandwidth rule {self.bandwidth_rule!r}")
 
 
 def complete_trials(history: list[Trial]) -> list[Trial]:
@@ -142,6 +137,11 @@ class ParzenDensity:
 
     @staticmethod
     def _bandwidths(centers: np.ndarray, lo: float, hi: float) -> np.ndarray:
+        """Kernel width of each of the n sorted centers (the neighbor-max rule).
+
+        A center's width is the larger distance to its sorted neighbors,
+        floored at (hi-lo)/min(100, n+1) and capped at (hi-lo).
+        """
         span = hi - lo
         n = len(centers)
         if n == 0:
@@ -278,10 +278,10 @@ class RatioModel:
 
 
 _DIMENSIONS = (
-    # (name, bounds attribute on PriorSet, log scale)
-    ("f_y", "f_y", True),
-    ("beta", "beta", False),
-    ("alpha2", "alpha2", False),
+    # (name, which is also the bounds attribute on PriorSet; log scale)
+    ("f_y", True),
+    ("beta", False),
+    ("alpha2", False),
 )
 
 
@@ -300,11 +300,11 @@ def _ratio_models(good: bytes, bad: bytes, bounds: bytes) -> tuple[RatioModel | 
     return tuple(
         None if lo == hi else RatioModel(ParzenDensity(good_pts[:, j], lo, hi, log_scale),
                                          ParzenDensity(bad_pts[:, j], lo, hi, log_scale))
-        for j, ((_, _, log_scale), (lo, hi)) in enumerate(zip(_DIMENSIONS, box))
+        for j, ((_, log_scale), (lo, hi)) in enumerate(zip(_DIMENSIONS, box))
     )
 
 
-_dimension_values = operator.itemgetter(*(name for name, _, _ in _DIMENSIONS))
+_dimension_values = operator.itemgetter(*(name for name, _ in _DIMENSIONS))
 
 
 def _points_bytes(trials: list[Trial]) -> bytes:
@@ -321,16 +321,15 @@ def tpe_ask(
     alpha2 order); afterwards each dimension independently maximizes the
     good/bad density ratio over candidates drawn from the good density.
     """
-    cfg.validate()
     done = complete_trials(history)
     if len(done) < cfg.n_startup or len(done) < 2:
         return sample_design(priors, rng)
-    good, bad = tpe_split(history, cfg.gamma)
-    bounds = [getattr(priors, attr) for _, attr, _ in _DIMENSIONS]
+    good, bad = tpe_split(done, cfg.gamma)
+    bounds = [getattr(priors, name) for name, _ in _DIMENSIONS]
     models = _ratio_models(_points_bytes(good), _points_bytes(bad),
                            np.array(bounds, dtype=np.float64).tobytes())
     values: dict[str, float] = {}
-    for (name, _, _), (lo, _), model in zip(_DIMENSIONS, bounds, models):
+    for (name, _), (lo, _), model in zip(_DIMENSIONS, bounds, models):
         if model is None:
             values[name] = lo
             continue

@@ -27,7 +27,7 @@ from importlib import resources
 
 import numpy as np
 
-from .core import ScenarioSpec
+from .core import ScenarioSpec, make_rng
 
 N_JOINTS = 12
 OBS_DIM = 45
@@ -48,7 +48,7 @@ def generate_mixing_matrix(seed: int = MIXING_SEED, row_norms=MIXING_ROW_NORMS) 
     is rescaled to a fixed norm that gives the proxy enough control
     authority to track order-one commands.
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = make_rng(seed)
     raw = rng.uniform(-1.0, 1.0, size=(len(row_norms), N_JOINTS))
     basis, _ = np.linalg.qr(raw.T)  # columns: orthonormal span of the draws
     m = np.zeros((5, N_JOINTS))
@@ -85,7 +85,7 @@ class TrackerWeights:
     scale_qd: float = 0.05
     scale_prev_action: float = 1.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.sigma_track <= 0:
             raise ValueError("sigma_track must be > 0")
         for name in ("w_track", "w_yaw", "w_vz", "w_height", "w_rate", "w_joint"):
@@ -147,8 +147,7 @@ class TrackerEnvConfig:
     cmd_vy: tuple[float, float] = (-0.6, 0.6)
     cmd_yaw: tuple[float, float] = (-0.8, 0.8)
 
-    def validate(self) -> None:
-        self.weights.validate()
+    def __post_init__(self):
         if self.sim_dt <= 0 or self.steps_per_action < 1 or self.horizon < 1:
             raise ValueError("sim_dt > 0, steps_per_action >= 1, horizon >= 1 required")
         if self.tau <= self.sim_dt:
@@ -273,7 +272,6 @@ class TrackerScenario:
 
     def __init__(self, config: TrackerEnvConfig | None = None):
         self.config = config or TrackerEnvConfig()
-        self.config.validate()
         self.state = initial_state(np.zeros(3), self.config)
         self._action = np.zeros(N_JOINTS)
         self._target = scaled_target(self._action, self.config)

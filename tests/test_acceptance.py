@@ -18,7 +18,7 @@ import scipy.stats
 
 from rollout_grid import wire
 from rollout_grid.cem import CemConfig, run_cem
-from rollout_grid.config import env_config_to_dict
+from rollout_grid.config import config_to_dict
 from rollout_grid.core import make_rng
 from rollout_grid.lander import (
     LanderParams,
@@ -67,7 +67,7 @@ def test_acceptance_01_transparency_determinism():
 def test_acceptance_02_barrier_correctness():
     """No step-index interleaving across 1000 barriers under injected delays."""
     steps = 1000
-    env_cfg = env_config_to_dict(TrackerEnvConfig(horizon=250))
+    env_cfg = config_to_dict(TrackerEnvConfig(horizon=250))
     with spawn_workers("tracker", 8, "socket", env_config=env_cfg,
                        step_delay_max_ms=50.0, delay_seed=7) as pool:
         pool.reset_all(list(range(8)))
@@ -234,7 +234,7 @@ CEM_CFG = CemConfig(iterations=25, population=24, episodes_per_candidate=2,
 
 def _cem_curve(seed, n_env):
     with spawn_workers("tracker", n_env, "socket",
-                       env_config=env_config_to_dict(CEM_ENV)) as pool:
+                       env_config=config_to_dict(CEM_ENV)) as pool:
         _, curve = run_cem(pool, CEM_CFG, seed=seed)
     return curve
 

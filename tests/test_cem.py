@@ -11,7 +11,7 @@ from rollout_grid.cem import (
     run_cem,
     unflatten_policy,
 )
-from rollout_grid.config import env_config_to_dict
+from rollout_grid.config import config_to_dict
 from rollout_grid.errors import ActionShapeError
 from rollout_grid.pool import spawn_workers
 from rollout_grid.tracker import TrackerEnvConfig
@@ -99,7 +99,7 @@ class TestIterate:
             cem_iterate(state, [(np.zeros(1), 1.0), (np.zeros(1), 2.0)], elite_frac=0.0)
 
 
-FAST_ENV = env_config_to_dict(TrackerEnvConfig(horizon=20))
+FAST_ENV = config_to_dict(TrackerEnvConfig(horizon=20))
 FAST_CEM = CemConfig(iterations=3, population=6, episodes_per_candidate=2)
 
 

@@ -1,14 +1,28 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from rollout_grid.cem import CemConfig
 from rollout_grid.config import (
+    ENVIRONMENTS,
+    ENVS,
+    BoConfig,
+    RunConfig,
+    ThroughputConfig,
     config_from_dict,
     config_to_dict,
     env_config_from_dict,
     parse_config,
 )
-from rollout_grid.errors import ParseError, ValidationError
+from rollout_grid.errors import InvalidParamsError, ParseError, SpawnError, ValidationError
+from rollout_grid.lander import LanderDesign, LanderEnvConfig, LanderParams, PriorSet
+from rollout_grid.registry import make_scenario
+from rollout_grid.tpe import TpeConfig
+from rollout_grid.tracker import TrackerEnvConfig, TrackerWeights
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 MINIMAL = {"mode": "throughput", "env": "tracker", "n_env": 1, "seed": 0}
 
@@ -140,3 +154,67 @@ def test_run_config_is_frozen():
     cfg = config_from_dict(MINIMAL)
     with pytest.raises(Exception):
         cfg.n_env = 5
+
+
+# One bad value per config dataclass: each raises as it is built, so no
+# caller has to check it again.
+BAD_CONFIGS = [
+    (lambda: LanderDesign(f_y=-1.0, beta=0.1, alpha2=0.5), InvalidParamsError, "f_y"),
+    (lambda: LanderParams(mass=0.0), InvalidParamsError, "mass must be positive"),
+    (lambda: PriorSet(beta=(0.5, 0.1)), InvalidParamsError, "b_min <= b_max"),
+    (lambda: LanderEnvConfig(window_s=0.0), InvalidParamsError, "window_s must be positive"),
+    (lambda: TrackerWeights(w_rate=-1.0), ValueError, "w_rate must be >= 0"),
+    (lambda: TrackerEnvConfig(cmd_vy=(1.0, -1.0)), ValueError, "lo <= hi"),
+    (lambda: TpeConfig(n_candidates=0), ValueError, "n_candidates must be >= 1"),
+    (lambda: CemConfig(smoothing=1.0), ValueError, "smoothing"),
+    (lambda: ThroughputConfig(sweep=(2, 0)), ValidationError, "sweep entries must be >= 1"),
+    (lambda: BoConfig(batch=-1), ValidationError, "batch must be >= 0"),
+    (lambda: RunConfig(mode="bo", env="lander", n_env=2, bo=BoConfig(batch=3)),
+     ValidationError, "bo.batch must not exceed n_env"),
+]
+
+
+@pytest.mark.parametrize("build, error, message", BAD_CONFIGS, ids=[
+    "LanderDesign", "LanderParams", "PriorSet", "LanderEnvConfig", "TrackerWeights",
+    "TrackerEnvConfig", "TpeConfig", "CemConfig", "ThroughputConfig", "BoConfig", "RunConfig"])
+def test_config_dataclass_rejects_a_bad_value_when_built(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+@pytest.mark.parametrize("env, section, message", [
+    ("tracker", {"weights": {"sigma_track": 0.0}}, "tracker.weights: sigma_track must be > 0"),
+    ("lander", {"params": {"mass": -1.0}}, "lander.params: mass must be positive"),
+    ("lander", {"priors": {"f_y": [0.0, 1.0]}}, "lander.priors: need 0 < f_min"),
+])
+def test_constructor_error_names_the_nested_key_path(env, section, message):
+    mode = "bo" if env == "lander" else "cem"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        parse_config(json.dumps({"mode": mode, "env": env, env: section}))
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        env_config_from_dict(env, section)
+
+
+def test_unknown_env_rejected_listing_the_one_name_table():
+    assert ENVS == tuple(ENVIRONMENTS)
+    with pytest.raises(SpawnError) as spawn:
+        make_scenario("bogus")
+    with pytest.raises(ValidationError) as parse:
+        config_from_dict({**MINIMAL, "env": "bogus"})
+    assert str(ENVS) in str(spawn.value) and str(ENVS) in str(parse.value)
+    for env, (_, config_type) in ENVIRONMENTS.items():
+        assert isinstance(env_config_from_dict(env, {}), config_type)
+        assert make_scenario(env).obs_dim >= 1
+
+
+def test_removed_bandwidth_rule_is_an_unknown_key():
+    with pytest.raises(ParseError, match="bo.tpe.bandwidth_rule"):
+        config_from_dict({"mode": "bo", "env": "lander",
+                          "bo": {"tpe": {"bandwidth_rule": "neighbor-max"}}})
+
+
+def test_readme_json_configs_parse():
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        parse_config(block)
