@@ -213,9 +213,9 @@ class TestPriors:
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(InvalidParamsError):
-            PriorSet(f_y=(0.0, 10.0)).validate()
+            PriorSet(f_y=(0.0, 10.0))
         with pytest.raises(InvalidParamsError):
-            PriorSet(alpha2=(1.0, 2.0)).validate()
+            PriorSet(alpha2=(1.0, 2.0))
 
 
 class TestLanderScenario:
