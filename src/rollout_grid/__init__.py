@@ -13,7 +13,6 @@ from .cem import CemConfig, CemState, LinearPolicy, cem_iterate, policy_act, run
 from .config import RunConfig, config_from_dict, config_to_dict, parse_config
 from .core import (
     Episode,
-    EpisodeClock,
     ScenarioSpec,
     StepResult,
     episode_seed,

@@ -4,7 +4,7 @@ Every run writes a JSON manifest (fully-defaulted config echo, seed,
 versions, host info) sufficient to reproduce its deterministic outputs, and
 CSV files that are flushed row by row so an interrupted run still leaves a
 parseable prefix. Wall clock is measured from pool-ready; worker spawn time
-is reported separately in the manifest.
+is reported separately, as ``spawn_s`` in the manifest or the CSV.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,13 +30,6 @@ BO_CURVE_CSV = "curve_best_value.csv"
 TRAINING_CSV = "training_curve.csv"
 THROUGHPUT_CSV = "throughput.csv"
 MANIFEST = "manifest.json"
-
-
-@dataclass(frozen=True)
-class CurveRecord:
-    wall_clock_s: float
-    metric: str
-    value: float
 
 
 def make_pool(cfg: RunConfig, n_env: int | None = None) -> tuple[WorkerPool, float]:
@@ -116,12 +108,10 @@ def run_throughput(cfg: RunConfig, out_dir: str | Path) -> list[dict]:
          "mean_barrier_latency_s", "wall_clock_s", "spawn_s"],
     )
     rows: list[dict] = []
-    spawn_times = {}
     try:
         for width in widths:
             for repeat in range(cfg.throughput.repeats):
                 pool, spawn_s = make_pool(cfg, n_env=width)
-                spawn_times[f"n_env={width}/{repeat}"] = spawn_s
                 try:
                     pool.reset_all([cfg.seed + i for i in range(width)])
                     actions = np.zeros((width, pool.act_dim))
@@ -147,7 +137,7 @@ def run_throughput(cfg: RunConfig, out_dir: str | Path) -> list[dict]:
                 sink.write(*(row[c] for c in sink.columns))
     finally:
         sink.close()
-    write_manifest(out, cfg, spawn_s=spawn_times)
+    write_manifest(out, cfg)
     return rows
 
 
@@ -180,8 +170,6 @@ def run_study(cfg: RunConfig, out_dir: str | Path):
         log.close()
         sink.close()
     write_manifest(out, cfg, spawn_s=spawn_s, best_value=best.value, best_params=best.params)
-    emit_plot_data([CurveRecord(w, "best_value", v) for w, v in curve], out / "plot",
-                   metrics=["best_value"])
     return best, curve
 
 
@@ -202,54 +190,5 @@ def run_training(cfg: RunConfig, out_dir: str | Path):
         sink.close()
     write_manifest(out, cfg, spawn_s=spawn_s,
                    final_mean_return=curve[-1].mean_return if curve else None)
-    records = []
-    for point in curve:
-        records.append(CurveRecord(point.wall_clock_s, "mean_return", point.mean_return))
-        records.append(CurveRecord(point.wall_clock_s, "mse_x", point.mse_x))
-        records.append(CurveRecord(point.wall_clock_s, "mse_y", point.mse_y))
-    emit_plot_data(records, out / "plot", metrics=["mean_return", "mse_x", "mse_y"])
     return policy, curve
 
-
-def emit_plot_data(
-    records: list[CurveRecord], out_dir: str | Path, metrics: list[str] | None = None
-) -> list[Path]:
-    """One CSV per metric plus a gnuplot-compatible combined file.
-
-    Output bytes are a pure function of the records: metrics are emitted in
-    sorted order, rows in input order within each metric. ``metrics`` forces
-    files for metric names with no records yet (header-only CSVs).
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    by_metric: dict[str, list[CurveRecord]] = {name: [] for name in metrics or ()}
-    for rec in records:
-        by_metric.setdefault(rec.metric, []).append(rec)
-    written: list[Path] = []
-    for metric in sorted(by_metric):
-        path = out / f"{metric}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["wall_clock_s", "value"])
-            for rec in by_metric[metric]:
-                writer.writerow([rec.wall_clock_s, rec.value])
-        written.append(path)
-    combined = out / "combined.dat"
-    with open(combined, "w") as fh:
-        fh.write("# gnuplot data: one index per metric, columns wall_clock_s value\n")
-        for i, metric in enumerate(sorted(by_metric)):
-            if i:
-                fh.write("\n\n")
-            fh.write(f"# metric: {metric}\n")
-            for rec in by_metric[metric]:
-                fh.write(f"{rec.wall_clock_s!r} {rec.value!r}\n")
-    written.append(combined)
-    return written
-
-
-def read_curve_csv(path: str | Path) -> list[tuple[float, ...]]:
-    """Parse any of the emitted curve CSVs back into float tuples."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return [tuple(float(v) for v in row) for row in reader]

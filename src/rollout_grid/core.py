@@ -25,7 +25,7 @@ from .errors import (
 
 U64_MASK = 0xFFFFFFFFFFFFFFFF
 
-#: Default reward handed out when the state goes non-finite mid-episode.
+#: Reward handed out when the state goes non-finite mid-episode.
 REWARD_FLOOR = -100.0
 
 
@@ -84,7 +84,7 @@ class ScenarioSpec:
 
     sim_step_size: float  # physics tick, seconds
     steps_per_action: int  # physics ticks per decision step
-    horizon: int  # decision steps before truncation
+    horizon: int  # decision steps before Episode truncates; no hook checks it
     obs_dim: int
     act_dim: int
     reset: Callable[[np.random.Generator, dict], None]
@@ -121,19 +121,6 @@ class StepResult:
         return self.terminated or self.truncated
 
 
-@dataclass
-class EpisodeClock:
-    """Decision-step counter and the simulated time it implies."""
-
-    decision_step: int = 0
-    steps_per_action: int = 1
-    sim_step_size: float = 0.0
-
-    @property
-    def sim_time(self) -> float:
-        return self.decision_step * self.steps_per_action * self.sim_step_size
-
-
 class Episode:
     """Drives one ScenarioSpec through the single-episode step contract.
 
@@ -141,15 +128,14 @@ class Episode:
     runs with ``sim_step_size`` up to ``steps_per_action`` times, stopping
     after the first call that returns a truthy value (the scenario has
     settled), then observation, reward and status are evaluated in that
-    order on the post-advance state. The decision step still covers
-    ``steps_per_action`` ticks of simulated time on the clock. Auto-reset is
-    deliberately not performed here.
+    order on the post-advance state. At ``spec.horizon`` decision steps the
+    episode truncates unless the status hook terminated it; no hook applies
+    the horizon. Auto-reset is deliberately not performed here.
     """
 
-    def __init__(self, spec: ScenarioSpec, reward_floor: float = REWARD_FLOOR):
+    def __init__(self, spec: ScenarioSpec):
         self.spec = spec
-        self.reward_floor = reward_floor
-        self.clock = EpisodeClock(0, spec.steps_per_action, spec.sim_step_size)
+        self.decision_step = 0
         self._active = False
         self._last_obs: np.ndarray | None = None
 
@@ -160,7 +146,7 @@ class Episode:
             self.spec.reset(rng, options)
         except Exception as exc:
             raise ResetError(f"reset hook failed: {exc}") from exc
-        self.clock.decision_step = 0
+        self.decision_step = 0
         obs = self._observe()
         if not np.isfinite(obs).all():
             raise NumericalError("non-finite initial observation")
@@ -179,7 +165,7 @@ class Episode:
         for _ in range(spec.steps_per_action):
             if advance_one(dt):
                 break
-        self.clock.decision_step += 1
+        self.decision_step += 1
 
         obs = self._observe()
         info = spec.diagnostics() if spec.diagnostics is not None else {}
@@ -187,11 +173,11 @@ class Episode:
             # Numerical blowup ends the episode instead of crashing the run.
             obs = self._last_obs.copy()
             info["numerical_failure"] = True
-            result = StepResult(obs, self.reward_floor, True, False, info)
+            result = StepResult(obs, REWARD_FLOOR, True, False, info)
         else:
             reward = float(self.spec.reward(action, obs))
-            terminated, truncated = self.spec.status(self.clock.decision_step)
-            if not terminated and self.clock.decision_step >= self.spec.horizon:
+            terminated, truncated = self.spec.status(self.decision_step)
+            if not terminated and self.decision_step >= self.spec.horizon:
                 truncated = True
             if terminated:
                 truncated = False

@@ -185,7 +185,6 @@ class TouchdownIntegrator:
 
         self.v = self.v0  # downward positive
         self.stroke = 0.0
-        self.sim_time = 0.0
         self.a_max = 0.0
         self.bottomed_out = False
         self.done = self.v0 == 0.0
@@ -194,7 +193,6 @@ class TouchdownIntegrator:
             raise DivergentDesignError("net deceleration <= 0 with unlimited stroke")
 
     def advance(self, dt: float) -> None:
-        self.sim_time += dt
         if self.done:
             return
         if not math.isfinite(self.v) or not math.isfinite(self.stroke):
@@ -339,8 +337,8 @@ class LanderScenario:
     def _apply_action(self, action: np.ndarray) -> None:
         pass  # the design is fixed at reset; there is nothing to actuate
 
-    # Once touchdown has settled, a tick changes nothing that is observed (the
-    # integrator's own sim_time is not), so the decision step stops ticking.
+    # Once touchdown has settled, a tick changes nothing that is observed, so
+    # the decision step stops ticking.
     # advance goes through the instance, so a patch on the class sees each tick.
     def _advance_one(self, dt: float) -> bool:
         integ = self._integ

@@ -38,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import wire
+from .config import PAD_MODES
 from .core import REWARD_FLOOR, StepResult
 from .errors import (
     ActionShapeError,
@@ -193,8 +194,7 @@ class WorkerPool:
 
     def __init__(self, n_workers: int, channels: list, obs_dim: int, act_dim: int,
                  step_timeout_s: float, restart_spec: dict | None, frame_log: list | None,
-                 stderr_dir: tempfile.TemporaryDirectory | None = None,
-                 ready_timeout_s: float = DEFAULT_READY_TIMEOUT_S):
+                 stderr_dir: tempfile.TemporaryDirectory | None, ready_timeout_s: float):
         self.n_workers = n_workers
         self.obs_dim = obs_dim
         self.act_dim = act_dim
@@ -511,6 +511,12 @@ def spawn_workers(
         raise SpawnError(f"transport must be 'in-process' or 'socket', got {transport!r}")
     if n_s < 1:
         raise SpawnError(f"n_s must be >= 1, got {n_s}")
+    if pad_mode not in PAD_MODES:
+        raise SpawnError(f"pad_mode must be one of {PAD_MODES}, got {pad_mode!r}")
+    if pad_ms < 0:
+        raise SpawnError(f"pad_ms must be >= 0, got {pad_ms}")
+    if step_delay_max_ms < 0:
+        raise SpawnError(f"step_delay_max_ms must be >= 0, got {step_delay_max_ms}")
     # Validates the environment name and configuration before any worker starts.
     obs_dim, act_dim = scenario_dims(env, env_config)
 

@@ -254,17 +254,13 @@ def tracker_reward(
     return tracking - yaw_pen - vz_pen - height_pen - rate_pen - joint_pen
 
 
-def tracker_status(
-    state: TrackerState, decision_step: int, horizon: int, config: TrackerEnvConfig
-) -> tuple[bool, bool]:
-    unstable = (
+def tracker_status(state: TrackerState, config: TrackerEnvConfig) -> bool:
+    """True when the state is unstable; the episode applies the horizon."""
+    return (
         not state.finite()
         or math.sqrt(state.v_xy.dot(state.v_xy)) > config.v_limit
         or abs(state.height - config.h0) > config.h_limit
     )
-    if unstable:
-        return True, False
-    return False, decision_step >= horizon
 
 
 class TrackerScenario:
@@ -325,7 +321,7 @@ class TrackerScenario:
         return tracker_reward(self.state, action, self._rate_ref, self.config.weights, self.config)
 
     def _status(self, decision_step: int) -> tuple[bool, bool]:
-        return tracker_status(self.state, decision_step, self.config.horizon, self.config)
+        return tracker_status(self.state, self.config), False
 
     def _diagnostics(self) -> dict:
         # Runs exactly once per decision step, so the running tracking-error

@@ -20,6 +20,7 @@ import time
 import numpy as np
 
 from . import wire
+from .config import PAD_MODES
 from .core import Episode, episode_seed
 from .errors import ProtocolError
 from .registry import make_scenario
@@ -73,6 +74,8 @@ class WorkerRuntime:
         if self.n_s < 1:
             raise ProtocolError(f"n_s must be >= 1, got {self.n_s}")
         self._pad_s = float(cfg["pad_ms"]) / 1e3
+        if cfg["pad_mode"] not in PAD_MODES:
+            raise ProtocolError(f"pad_mode must be one of {PAD_MODES}, got {cfg['pad_mode']!r}")
         self._pad_busy = cfg["pad_mode"] == "busy"
         self._delay_max_s = float(cfg["step_delay_max_ms"]) / 1e3
         self._delay_rng = np.random.default_rng(

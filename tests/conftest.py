@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -13,7 +14,7 @@ def canonical_info(info: dict) -> dict:
     return json.loads(dumps_canonical(info))
 
 
-def serial_reference(env, env_config, root_seed, actions, n_s=1, reward_floor=-100.0):
+def serial_reference(env, env_config, root_seed, actions, n_s=1):
     """Reference trajectory using only scenario-core calls.
 
     Reimplements the worker's documented substep/auto-reset convention so
@@ -23,7 +24,7 @@ def serial_reference(env, env_config, root_seed, actions, n_s=1, reward_floor=-1
     map, reseeds with the next seed of the episode schedule, and returns
     the fresh initial observation.
     """
-    episode = Episode(make_scenario(env, env_config), reward_floor)
+    episode = Episode(make_scenario(env, env_config))
     episode_index = 0
     obs = episode.reset(episode_seed(root_seed, 0), {})
     out = [obs]
@@ -46,6 +47,14 @@ def serial_reference(env, env_config, root_seed, actions, n_s=1, reward_floor=-1
             obs = episode.reset(episode_seed(root_seed, episode_index), {})
         results.append((obs, total, result.terminated, result.truncated, canonical_info(info)))
     return out[0], results
+
+
+def read_curve_csv(path):
+    """Parse a curve CSV (header row, then numbers) back into float tuples."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        return [tuple(float(v) for v in row) for row in reader]
 
 
 def assert_step_results_equal(pool_result, ref_result):

@@ -10,13 +10,10 @@ import pytest
 from rollout_grid import bench
 from rollout_grid.bench import (
     BO_CURVE_CSV,
-    CurveRecord,
     MANIFEST,
     THROUGHPUT_CSV,
     TRAINING_CSV,
     TRIAL_LOG,
-    emit_plot_data,
-    read_curve_csv,
     run_study,
     run_throughput,
     run_training,
@@ -24,6 +21,8 @@ from rollout_grid.bench import (
 from rollout_grid.config import config_from_dict
 from rollout_grid.core import StepResult
 from rollout_grid.tpe import read_trial_log
+
+from conftest import read_curve_csv
 
 
 def bo_config(**over):
@@ -39,6 +38,23 @@ def cem_config(**over):
          "tracker": {"horizon": 15},
          "cem": {"iterations": 2, "population": 4, "episodes_per_candidate": 1}, **over}
     )
+
+
+def throughput_config(**over):
+    return config_from_dict(
+        {"mode": "throughput", "env": "tracker", "n_env": 1, "seed": 0,
+         "throughput": {"steps": 5}, **over}
+    )
+
+
+@pytest.mark.parametrize("run, make_config, files", [
+    (run_throughput, throughput_config, {THROUGHPUT_CSV, MANIFEST}),
+    (run_study, bo_config, {TRIAL_LOG, BO_CURVE_CSV, MANIFEST}),
+    (run_training, cem_config, {TRAINING_CSV, MANIFEST}),
+], ids=["throughput", "bo", "cem"])
+def test_each_mode_writes_exactly_its_files(tmp_path, run, make_config, files):
+    run(make_config(), tmp_path)
+    assert {p.name for p in tmp_path.iterdir()} == files
 
 
 class TestThroughput:
@@ -179,36 +195,6 @@ class TestTraining:
         full = [r[1:] for r in read_curve_csv(tmp_path / "full" / TRAINING_CSV)]
         assert len(full) == 4
         assert cut == full[:2]
-
-
-class TestPlotData:
-    def test_empty_curve_writes_header_only(self, tmp_path):
-        paths = emit_plot_data([], tmp_path, metrics=["best_value"])
-        csv_path = tmp_path / "best_value.csv"
-        assert csv_path in paths
-        assert csv_path.read_bytes() == b"wall_clock_s,value\r\n"
-
-    def test_round_trip(self, tmp_path):
-        records = [CurveRecord(0.5, "m", 1.25), CurveRecord(1.0, "m", -3.5)]
-        emit_plot_data(records, tmp_path)
-        assert read_curve_csv(tmp_path / "m.csv") == [(0.5, 1.25), (1.0, -3.5)]
-
-    def test_two_metrics_two_files_plus_combined(self, tmp_path):
-        records = [CurveRecord(0.0, "a", 1.0), CurveRecord(0.0, "b", 2.0),
-                   CurveRecord(1.0, "a", 3.0), CurveRecord(1.0, "b", 4.0)]
-        paths = emit_plot_data(records, tmp_path)
-        names = sorted(p.name for p in paths)
-        assert names == ["a.csv", "b.csv", "combined.dat"]
-        assert len(read_curve_csv(tmp_path / "a.csv")) == len(read_curve_csv(tmp_path / "b.csv"))
-
-    def test_bytes_deterministic(self, tmp_path):
-        records = [CurveRecord(0.123456789, "m", 9.87654321)]
-        emit_plot_data(records, tmp_path / "x")
-        emit_plot_data(records, tmp_path / "y")
-        assert (tmp_path / "x" / "m.csv").read_bytes() == (tmp_path / "y" / "m.csv").read_bytes()
-        assert (tmp_path / "x" / "combined.dat").read_bytes() == (
-            tmp_path / "y" / "combined.dat"
-        ).read_bytes()
 
 
 class TestCli:

@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rollout_grid.core import (
+    REWARD_FLOOR,
     Episode,
-    EpisodeClock,
     ScenarioSpec,
     episode_seed,
     validate_action,
@@ -103,7 +103,9 @@ def test_episode_clock_law():
     ep.reset(0)
     for _ in range(7):
         ep.step(np.zeros(2))
-    assert math.isclose(ep.clock.sim_time, 7 * 4 * 0.005)
+    assert ep.decision_step == 7
+    ep.reset(0)
+    assert ep.decision_step == 0
 
 
 def test_hook_order_within_step():
@@ -171,14 +173,14 @@ def test_nan_initial_observation_is_numerical_error():
 
 def test_nan_mid_episode_terminates_with_floor():
     sc = RecordingScenario()
-    ep = Episode(sc.spec(), reward_floor=-55.0)
+    ep = Episode(sc.spec())
     ep.reset(0)
     ok = ep.step(np.zeros(2))
     assert not ok.terminated
     sc.obs_value = np.array([np.inf, 0.0, 0.0])
     bad = ep.step(np.zeros(2))
     assert bad.terminated and not bad.truncated
-    assert bad.reward == -55.0
+    assert bad.reward == REWARD_FLOOR
     assert bad.info["numerical_failure"] is True
     assert np.all(np.isfinite(bad.observation))
 
@@ -195,11 +197,6 @@ def test_episode_seed_distinct_and_deterministic():
 
 def test_episode_seed_wraps_negative_roots():
     assert episode_seed(-1, 0) == 2**64 - 1
-
-
-def test_clock_dataclass_sim_time():
-    clock = EpisodeClock(decision_step=10, steps_per_action=4, sim_step_size=0.005)
-    assert math.isclose(clock.sim_time, 0.2)
 
 
 def test_spec_rejects_bad_timing():
@@ -247,7 +244,7 @@ def test_step_stops_ticking_at_first_settled_advance(settle_at, ticks):
     assert sc.ticks == ticks
     assert sc.log == ["apply"] + ["advance"] * ticks + ["observe", "reward", "status"]
     assert not result.done
-    assert math.isclose(ep.clock.sim_time, 5 * 0.005)
+    assert ep.decision_step == 1
 
 
 class DiagnosingScenario(SettlingScenario):

@@ -260,7 +260,6 @@ class TestLanderScenario:
         integ = TouchdownIntegrator(REF_DESIGN, REF_PARAMS)
         for _ in range(1000):
             integ.advance(1e-3)
-        assert math.isclose(integ.sim_time, 1.0)
         assert integ.done
 
 

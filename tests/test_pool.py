@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import threading
@@ -137,6 +138,41 @@ def test_unknown_env_fails_before_spawn():
 def test_bad_env_config_fails_before_spawn():
     with pytest.raises(Exception):
         spawn_workers("tracker", 1, "in-process", env_config={"horizons": 5})
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+@pytest.mark.parametrize("kwargs, message", [
+    ({"pad_mode": "Busy"}, "pad_mode must be one of ('busy', 'sleep'), got 'Busy'"),
+    ({"pad_ms": -5.0}, "pad_ms must be >= 0, got -5.0"),
+    ({"step_delay_max_ms": -1.0}, "step_delay_max_ms must be >= 0, got -1.0"),
+], ids=["pad_mode", "pad_ms", "step_delay_max_ms"])
+def test_bad_pad_or_delay_fails_before_spawn(monkeypatch, transport, kwargs, message):
+    def no_worker(*args):
+        raise AssertionError("a worker was started")
+
+    monkeypatch.setattr(pool_module, "InProcessChannel", no_worker)
+    monkeypatch.setattr(pool_module, "_launch_socket_worker", no_worker)
+    with pytest.raises(SpawnError, match=re.escape(message)):
+        spawn_workers("tracker", 2, transport, **kwargs)
+
+
+def test_init_with_unknown_pad_mode_fails_spawn_naming_it(monkeypatch):
+    class PadModeRuntime(WorkerRuntime):
+        """Worker runtime whose INIT for worker 1 carries pad_mode "Busy"."""
+
+        def handle_frame(self, tag, payload):
+            if tag == wire.TAG_INIT:
+                cfg = json.loads(payload)
+                if cfg["worker_index"] == 1:
+                    cfg["pad_mode"] = "Busy"
+                    payload = wire.dumps_canonical(cfg)
+            return super().handle_frame(tag, payload)
+
+    monkeypatch.setattr(pool_module, "WorkerRuntime", PadModeRuntime)
+    with pytest.raises(SpawnError) as excinfo:
+        spawn_workers("tracker", 2, "in-process")
+    assert excinfo.value.index == 1
+    assert "pad_mode" in str(excinfo.value) and "'Busy'" in str(excinfo.value)
 
 
 def test_batch_error_preserves_other_results():

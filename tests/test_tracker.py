@@ -152,22 +152,27 @@ class TestReward:
 
 class TestStatus:
     def test_nominal_mid_episode(self):
-        assert tracker_status(make_state(), 10, CFG.horizon, CFG) == (False, False)
+        assert not tracker_status(make_state(), CFG)
 
     def test_time_limit_truncates(self):
-        assert tracker_status(make_state(), CFG.horizon, CFG.horizon, CFG) == (False, True)
+        # The horizon is the episode's rule: the tracker's status never truncates.
+        ep = Episode(TrackerScenario(TrackerEnvConfig(horizon=5)).spec())
+        ep.reset(0)
+        results = [ep.step(np.zeros(ACT_DIM)) for _ in range(5)]
+        assert [r.done for r in results[:4]] == [False] * 4
+        assert results[4].truncated and not results[4].terminated
 
     def test_height_excursion_terminates(self):
         state = make_state(height=CFG.h0 + 2 * CFG.h_limit)
-        assert tracker_status(state, 3, CFG.horizon, CFG) == (True, False)
+        assert tracker_status(state, CFG)
 
     def test_overspeed_terminates(self):
         state = make_state(v_xy=np.array([CFG.v_limit + 1.0, 0.0]))
-        assert tracker_status(state, 3, CFG.horizon, CFG) == (True, False)
+        assert tracker_status(state, CFG)
 
     def test_nonfinite_state_terminates(self):
         state = make_state(v_xy=np.array([np.nan, 0.0]))
-        assert tracker_status(state, 3, CFG.horizon, CFG)[0]
+        assert tracker_status(state, CFG)
 
 
 class TestCommands:
@@ -230,9 +235,9 @@ class TestScenario:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            TrackerEnvConfig(tau=0.001).validate()
+            TrackerEnvConfig(tau=0.001)
         with pytest.raises(ValueError):
-            TrackerEnvConfig(weights=TrackerWeights(sigma_track=0.0)).validate()
+            TrackerEnvConfig(weights=TrackerWeights(sigma_track=0.0))
 
 
 def tracker_stream_digest(config, root_seed, action_seed, n_steps):
