@@ -513,9 +513,10 @@ def spawn_workers(
         raise SpawnError(f"n_s must be >= 1, got {n_s}")
     if pad_mode not in PAD_MODES:
         raise SpawnError(f"pad_mode must be one of {PAD_MODES}, got {pad_mode!r}")
-    if pad_ms < 0:
+    # Written so that NaN fails too: it would reach INIT as JSON null.
+    if not pad_ms >= 0:
         raise SpawnError(f"pad_ms must be >= 0, got {pad_ms}")
-    if step_delay_max_ms < 0:
+    if not step_delay_max_ms >= 0:
         raise SpawnError(f"step_delay_max_ms must be >= 0, got {step_delay_max_ms}")
     # Validates the environment name and configuration before any worker starts.
     obs_dim, act_dim = scenario_dims(env, env_config)

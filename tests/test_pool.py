@@ -145,7 +145,9 @@ def test_bad_env_config_fails_before_spawn():
     ({"pad_mode": "Busy"}, "pad_mode must be one of ('busy', 'sleep'), got 'Busy'"),
     ({"pad_ms": -5.0}, "pad_ms must be >= 0, got -5.0"),
     ({"step_delay_max_ms": -1.0}, "step_delay_max_ms must be >= 0, got -1.0"),
-], ids=["pad_mode", "pad_ms", "step_delay_max_ms"])
+    ({"pad_ms": float("nan")}, "pad_ms must be >= 0, got nan"),
+    ({"step_delay_max_ms": float("nan")}, "step_delay_max_ms must be >= 0, got nan"),
+], ids=["pad_mode", "pad_ms", "step_delay_max_ms", "pad_ms_nan", "step_delay_max_ms_nan"])
 def test_bad_pad_or_delay_fails_before_spawn(monkeypatch, transport, kwargs, message):
     def no_worker(*args):
         raise AssertionError("a worker was started")
