@@ -1,7 +1,9 @@
 """rollout_grid: barrier-synchronized worker pools for stepped simulations.
 
-A stepped simulation becomes a :class:`~rollout_grid.core.ScenarioSpec`
-(shapes, timing, six behavior hooks and an optional diagnostics hook); pools of persistent workers step
+A stepped simulation becomes a scenario object with shapes, timing and
+seven methods (reset, apply_action, advance_one, observe, reward, terminated
+and diagnostics, which runs once per decision step) that
+:class:`~rollout_grid.core.Episode` drives; pools of persistent workers step
 many instances in lockstep over an in-process or socket transport; TPE and
 CEM drivers batch their evaluations through the pool; the ``bench`` CLI
 runs throughput, design-study, and training experiments.
@@ -13,7 +15,6 @@ from .cem import CemConfig, CemState, LinearPolicy, cem_iterate, policy_act, run
 from .config import RunConfig, config_from_dict, config_to_dict, parse_config
 from .core import (
     Episode,
-    ScenarioSpec,
     StepResult,
     episode_seed,
     validate_action,

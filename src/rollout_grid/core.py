@@ -1,17 +1,36 @@
-"""Scenario core: the seven-hook decomposition of a stepped simulation.
+"""Scenario core: the seven-method decomposition of a stepped simulation.
 
-A free-form stepped simulation is reinterpreted as a :class:`ScenarioSpec`:
-fixed shapes (obs_dim, act_dim), a physics step size, a decision-to-physics
-ratio, a horizon, six behavior hooks (reset / apply_action / advance_one /
-observe / reward / status) and an optional seventh, diagnostics. :class:`Episode`
-drives the spec through the single-episode reset/step contract; batching,
-auto-reset and transport live one layer up (see ``pool``).
+A free-form stepped simulation is written as a scenario object with four
+sizes -- ``obs_dim``, ``act_dim``, ``steps_per_action`` (physics ticks per
+decision step) and ``horizon`` (decision steps before :class:`Episode`
+truncates) -- and seven methods:
+
+- ``reset(rng, options)`` starts an episode;
+- ``apply_action(action)`` takes the validated action of a decision step;
+- ``advance_one()`` runs one physics tick of the scenario's own step size;
+- ``observe()`` returns the observation vector;
+- ``reward(action)`` scores the step; a scenario that wants the pre-step
+  state snapshots it in ``apply_action``;
+- ``terminated()`` reports the scenario's own end conditions;
+- ``diagnostics()`` returns a new dict that becomes the step's info.
+
+A scenario and its state are confined to one worker. ``advance_one`` may
+return a truthy value to say that nothing changes from there on (further
+ticks would leave every observed quantity as it is); the decision step then
+stops ticking. One that returns ``None`` ticks every time. ``diagnostics``
+runs exactly once per decision step, after the advance, on every outcome: a
+running, settled, terminated or truncated step, and the numerical-failure
+step too, whose info then also carries ``numerical_failure``.
+
+:class:`Episode` drives a scenario through the single-episode reset/step
+contract and alone applies the horizon; batching, auto-reset and transport
+live one layer up (see ``pool``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -63,49 +82,6 @@ def validate_action(action, act_dim: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """One stepped scenario: fixed shapes, timing, and the behavior hooks.
-
-    Hooks are bound callables supplied by a concrete environment. They may
-    close over arbitrary per-instance state; an instance and its state are
-    confined to one worker. The reward hook receives the applied action and
-    the post-advance observation; environments that want the pre-step state
-    as well snapshot it themselves in ``apply_action``. ``advance_one`` may
-    return a truthy value to say that nothing changes from there on (further
-    ticks would leave every observed quantity as it is); the decision step
-    then stops ticking. A hook that returns ``None`` ticks every time.
-    The optional ``diagnostics`` hook returns a new dict that becomes the
-    step's info. It runs exactly once per decision step, after the advance,
-    on every outcome: a running, settled, terminated or truncated step, and
-    the numerical-failure step too, whose info then also carries
-    ``numerical_failure``.
-    """
-
-    sim_step_size: float  # physics tick, seconds
-    steps_per_action: int  # physics ticks per decision step
-    horizon: int  # decision steps before Episode truncates; no hook checks it
-    obs_dim: int
-    act_dim: int
-    reset: Callable[[np.random.Generator, dict], None]
-    apply_action: Callable[[np.ndarray], None]
-    advance_one: Callable[[float], bool | None]
-    observe: Callable[[], np.ndarray]
-    reward: Callable[[np.ndarray, np.ndarray], float]
-    status: Callable[[int], tuple[bool, bool]]
-    diagnostics: Callable[[], dict] | None = None  # a new dict per call; the step adds keys
-
-    def __post_init__(self):
-        if self.sim_step_size <= 0:
-            raise ValueError("sim_step_size must be > 0")
-        if self.steps_per_action < 1:
-            raise ValueError("steps_per_action must be >= 1")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.obs_dim < 1 or self.act_dim < 1:
-            raise ValueError("obs_dim and act_dim must be >= 1")
-
-
 @dataclass
 class StepResult:
     """Output of one decision step."""
@@ -122,19 +98,24 @@ class StepResult:
 
 
 class Episode:
-    """Drives one ScenarioSpec through the single-episode step contract.
+    """Drives one scenario object through the single-episode reset/step contract.
 
-    Within one decision step: the action is applied once, ``advance_one``
-    runs with ``sim_step_size`` up to ``steps_per_action`` times, stopping
-    after the first call that returns a truthy value (the scenario has
-    settled), then observation, reward and status are evaluated in that
-    order on the post-advance state. At ``spec.horizon`` decision steps the
-    episode truncates unless the status hook terminated it; no hook applies
-    the horizon. Auto-reset is deliberately not performed here.
+    The scenario supplies ``obs_dim``, ``act_dim``, ``steps_per_action`` and
+    ``horizon``, each at least 1, and seven methods; see the module
+    docstring. Within one decision step: the action is applied once,
+    ``advance_one`` runs up to ``steps_per_action`` times, stopping after the
+    first call that returns a truthy value (the scenario has settled), then
+    observation, diagnostics, reward and termination are evaluated in that
+    order on the post-advance state. At ``horizon`` decision steps the
+    episode truncates unless the scenario terminated it; no scenario method
+    checks the horizon. Auto-reset is deliberately not performed here.
     """
 
-    def __init__(self, spec: ScenarioSpec):
-        self.spec = spec
+    def __init__(self, scenario):
+        for name in ("steps_per_action", "horizon", "obs_dim", "act_dim"):
+            if getattr(scenario, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        self.scenario = scenario
         self.decision_step = 0
         self._active = False
         self._last_obs: np.ndarray | None = None
@@ -143,7 +124,7 @@ class Episode:
         options = dict(options or {})
         rng = make_rng(seed)
         try:
-            self.spec.reset(rng, options)
+            self.scenario.reset(rng, options)
         except Exception as exc:
             raise ResetError(f"reset hook failed: {exc}") from exc
         self.decision_step = 0
@@ -157,41 +138,38 @@ class Episode:
     def step(self, action) -> StepResult:
         if not self._active:
             raise EpisodeOver("episode is over; reset before stepping")
-        spec = self.spec
-        action = validate_action(action, spec.act_dim)
+        scenario = self.scenario
+        action = validate_action(action, scenario.act_dim)
 
-        spec.apply_action(action)
-        advance_one, dt = spec.advance_one, spec.sim_step_size
-        for _ in range(spec.steps_per_action):
-            if advance_one(dt):
+        scenario.apply_action(action)
+        advance_one = scenario.advance_one
+        for _ in range(scenario.steps_per_action):
+            if advance_one():
                 break
         self.decision_step += 1
 
         obs = self._observe()
-        info = spec.diagnostics() if spec.diagnostics is not None else {}
+        info = scenario.diagnostics()
         if not np.isfinite(obs).all():
             # Numerical blowup ends the episode instead of crashing the run.
             obs = self._last_obs.copy()
             info["numerical_failure"] = True
             result = StepResult(obs, REWARD_FLOOR, True, False, info)
         else:
-            reward = float(self.spec.reward(action, obs))
-            terminated, truncated = self.spec.status(self.decision_step)
-            if not terminated and self.decision_step >= self.spec.horizon:
-                truncated = True
-            if terminated:
-                truncated = False
+            reward = float(scenario.reward(action))
+            terminated = bool(scenario.terminated())
+            truncated = not terminated and self.decision_step >= scenario.horizon
             self._last_obs = obs
-            result = StepResult(obs.copy(), reward, bool(terminated), bool(truncated), info)
+            result = StepResult(obs.copy(), reward, terminated, truncated, info)
 
         if result.done:
             self._active = False
         return result
 
     def _observe(self) -> np.ndarray:
-        obs = np.asarray(self.spec.observe(), dtype=np.float64)
-        if obs.shape != (self.spec.obs_dim,):
+        obs = np.asarray(self.scenario.observe(), dtype=np.float64)
+        if obs.shape != (self.scenario.obs_dim,):
             raise NumericalError(
-                f"observe hook returned shape {obs.shape}, expected ({self.spec.obs_dim},)"
+                f"observe hook returned shape {obs.shape}, expected ({self.scenario.obs_dim},)"
             )
         return obs

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ScenarioSpec
 from .errors import DivergentDesignError, InvalidParamsError
 
 
@@ -288,45 +287,32 @@ class LanderEnvConfig:
 
 
 class LanderScenario:
-    """Touchdown wrapped as a one-decision-step scenario.
+    """Touchdown wrapped as a one-decision-step scenario (``horizon`` 1).
 
     Reset options may carry ``design`` (a mapping with f_y/beta/alpha2;
     defaults to the prior center) and ``drop_height``. The single step
-    ignores its action vector, integrates the touchdown until it settles or
-    the window ends, and returns the negated objective as reward with the full
-    touchdown record in the diagnostics. Observation layout, in order:
-    [downward speed, stroke used, f_y, alpha2, beta]; right after reset the
-    first two entries are (sqrt(2*g*h), 0).
+    ignores its action vector and covers ``window_s`` in ``steps_per_action``
+    ticks of ``sim_dt``. ``advance_one`` reports settled, and ``terminated``
+    turns true, once touchdown settles; a design still moving when the window
+    ends is truncated. ``reward`` is the negated objective, and
+    ``diagnostics`` carries the full touchdown record. Observation layout,
+    in order: [downward speed, stroke used, f_y, alpha2, beta]; right after
+    reset the first two entries are (sqrt(2*g*h), 0).
     """
 
-    OBS_DIM = 5
-    ACT_DIM = 3
+    obs_dim = 5
+    act_dim = 3
+    horizon = 1
 
     def __init__(self, config: LanderEnvConfig | None = None):
         self.config = config or LanderEnvConfig()
+        self.steps_per_action = max(1, round(self.config.window_s / self.config.sim_dt))
         self._integ: TouchdownIntegrator | None = None
         self._design = self.config.priors.center_design()
 
-    def spec(self) -> ScenarioSpec:
-        cfg = self.config
-        return ScenarioSpec(
-            sim_step_size=cfg.sim_dt,
-            steps_per_action=max(1, round(cfg.window_s / cfg.sim_dt)),
-            horizon=1,
-            obs_dim=self.OBS_DIM,
-            act_dim=self.ACT_DIM,
-            reset=self._reset,
-            apply_action=self._apply_action,
-            advance_one=self._advance_one,
-            observe=self._observe,
-            reward=self._reward,
-            status=self._status,
-            diagnostics=self._diagnostics,
-        )
-
     # Touchdown is deterministic given the design; the rng is accepted for
     # contract uniformity but never drawn from.
-    def _reset(self, rng: np.random.Generator, options: dict) -> None:
+    def reset(self, rng: np.random.Generator, options: dict) -> None:
         if "design" in options:
             self._design = LanderDesign.from_dict(options["design"])
         else:
@@ -334,29 +320,29 @@ class LanderScenario:
         drop_height = options.get("drop_height")
         self._integ = TouchdownIntegrator(self._design, self.config.params, drop_height)
 
-    def _apply_action(self, action: np.ndarray) -> None:
+    def apply_action(self, action: np.ndarray) -> None:
         pass  # the design is fixed at reset; there is nothing to actuate
 
     # Once touchdown has settled, a tick changes nothing that is observed, so
     # the decision step stops ticking.
     # advance goes through the instance, so a patch on the class sees each tick.
-    def _advance_one(self, dt: float) -> bool:
+    def advance_one(self) -> bool:
         integ = self._integ
         if not integ.done:
-            integ.advance(dt)
+            integ.advance(self.config.sim_dt)
         return integ.done
 
-    def _observe(self) -> np.ndarray:
+    def observe(self) -> np.ndarray:
         d = self._design
         return np.array([self._integ.v, self._integ.stroke, d.f_y, d.alpha2, d.beta])
 
-    def _reward(self, action: np.ndarray, obs: np.ndarray) -> float:
+    def reward(self, action: np.ndarray) -> float:
         return -objective(self._integ.result(), self.config.params)
 
-    def _status(self, decision_step: int) -> tuple[bool, bool]:
-        return self._integ.done, False
+    def terminated(self) -> bool:
+        return self._integ.done
 
-    def _diagnostics(self) -> dict:
+    def diagnostics(self) -> dict:
         res = self._integ.result()
         return {
             "a_max": res.a_max,

@@ -25,6 +25,7 @@ transition for that batch.
 
 from __future__ import annotations
 
+import math
 import os
 import selectors
 import socket
@@ -52,7 +53,7 @@ from .errors import (
     WorkerError,
     WorkerLost,
 )
-from .registry import scenario_dims
+from .registry import make_scenario
 from .worker import WorkerRuntime
 
 TIMEOUT_ENV_VAR = "ROLLOUT_GRID_TIMEOUT_SECS"
@@ -61,13 +62,24 @@ DEFAULT_READY_TIMEOUT_S = 30.0
 CLOSE_GRACE_S = 5.0
 
 
+def _checked_timeout(name: str, seconds) -> float:
+    """``seconds`` as a float; SpawnError naming ``name`` unless it is finite and > 0."""
+    # NaN or inf breaks the selector's deadline, and 0 or less poisons the
+    # pool at its first barrier.
+    seconds = float(seconds)
+    if not 0 < seconds < math.inf:
+        raise SpawnError(f"{name} must be finite and > 0, got {seconds}")
+    return seconds
+
+
 def _default_step_timeout() -> float:
     raw = os.environ.get(TIMEOUT_ENV_VAR)
     if raw:
         try:
-            return float(raw)
+            seconds = float(raw)
         except ValueError:
             raise RolloutError(f"{TIMEOUT_ENV_VAR} must be a number, got {raw!r}")
+        return _checked_timeout(TIMEOUT_ENV_VAR, seconds)
     return DEFAULT_STEP_TIMEOUT_S
 
 
@@ -518,8 +530,11 @@ def spawn_workers(
         raise SpawnError(f"pad_ms must be >= 0, got {pad_ms}")
     if not step_delay_max_ms >= 0:
         raise SpawnError(f"step_delay_max_ms must be >= 0, got {step_delay_max_ms}")
+    step_timeout = (_default_step_timeout() if step_timeout_s is None
+                    else _checked_timeout("step_timeout_s", step_timeout_s))
+    ready_timeout_s = _checked_timeout("ready_timeout_s", ready_timeout_s)
     # Validates the environment name and configuration before any worker starts.
-    obs_dim, act_dim = scenario_dims(env, env_config)
+    scenario = make_scenario(env, env_config)
 
     frame_log: list | None = [] if record_frames else None
     init_spec = {
@@ -531,13 +546,12 @@ def spawn_workers(
         "step_delay_max_ms": step_delay_max_ms,
         "delay_seed": delay_seed,
     }
-    step_timeout = _default_step_timeout() if step_timeout_s is None else float(step_timeout_s)
 
     stderr_dir = None
     if transport == "socket":
         stderr_dir = tempfile.TemporaryDirectory(prefix="rollout-grid-")
     channels: list = []
-    pool = WorkerPool(n_workers, channels, obs_dim, act_dim, step_timeout,
+    pool = WorkerPool(n_workers, channels, scenario.obs_dim, scenario.act_dim, step_timeout,
                       init_spec if restart_on_failure else None, frame_log, stderr_dir,
                       ready_timeout_s)
     try:

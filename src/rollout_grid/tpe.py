@@ -153,10 +153,6 @@ class ParzenDensity:
         widest = np.maximum(np.concatenate(([span], gaps)), np.concatenate((gaps, [span])))
         return np.minimum(span, np.maximum(floor, widest))
 
-    def pdf(self, x: float) -> float:
-        """Density at ``x`` in the original coordinates."""
-        return float(self.pdf_many([x])[0])
-
     def pdf_many(self, xs) -> np.ndarray:
         """Density at each of ``xs`` in the original coordinates, in one pass.
 
@@ -182,16 +178,13 @@ class ParzenDensity:
         out[inside] = jacobian * total / len(self.centers)
         return out
 
-    def sample(self, rng: np.random.Generator) -> float:
-        """Inverse-CDF draw from a uniformly chosen mixture component."""
-        return float(self.sample_many(rng, 1)[0])
-
     def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """``n`` draws in the original coordinates, each one ``sample`` would give.
+        """``n`` draws in the original coordinates.
 
-        Per draw the rng picks a component (``integers``), then a uniform
-        (``random``), in that order; the rest runs over the arrays with the
-        float operations of the per-draw formula.
+        Each is an inverse-CDF draw from a uniformly chosen mixture
+        component. Per draw the rng picks the component (``integers``), then
+        a uniform (``random``), in that order; the rest runs over the arrays
+        with the float operations of the per-draw formula.
         """
         # lo + (hi - lo) * rng.random() is rng.uniform(lo, hi) bit for bit,
         # from the same draw, at a third of the call's cost.
@@ -220,7 +213,7 @@ class RatioModel:
 
     ``best`` returns the index of the first candidate with the highest exact
     score ``l(x) / g(x)`` (infinite where ``g(x) == 0``), exactly as a loop
-    over ``pdf`` values would. A screening pass scores every candidate
+    over per-point densities would. A screening pass scores every candidate
     approximately, with ``np.exp`` over both densities' kernels at once and
     pairwise sums; only candidates whose approximate ratio lies within
     ``SCREEN_MARGIN`` (relative) of the best are rescored exactly. An

@@ -27,7 +27,7 @@ from importlib import resources
 
 import numpy as np
 
-from .core import ScenarioSpec, make_rng
+from .core import make_rng
 
 N_JOINTS = 12
 OBS_DIM = 45
@@ -266,8 +266,13 @@ def tracker_status(state: TrackerState, config: TrackerEnvConfig) -> bool:
 class TrackerScenario:
     """The proxy wrapped as a scenario; command resampled at every reset."""
 
+    obs_dim = OBS_DIM
+    act_dim = ACT_DIM
+
     def __init__(self, config: TrackerEnvConfig | None = None):
         self.config = config or TrackerEnvConfig()
+        self.steps_per_action = self.config.steps_per_action
+        self.horizon = self.config.horizon
         self.state = initial_state(np.zeros(3), self.config)
         self._action = np.zeros(N_JOINTS)
         self._target = scaled_target(self._action, self.config)
@@ -275,24 +280,7 @@ class TrackerScenario:
         self._err_sums = (0.0, 0.0)
         self._err_steps = 0
 
-    def spec(self) -> ScenarioSpec:
-        cfg = self.config
-        return ScenarioSpec(
-            sim_step_size=cfg.sim_dt,
-            steps_per_action=cfg.steps_per_action,
-            horizon=cfg.horizon,
-            obs_dim=OBS_DIM,
-            act_dim=ACT_DIM,
-            reset=self._reset,
-            apply_action=self._apply_action,
-            advance_one=self._advance_one,
-            observe=self._observe,
-            reward=self._reward,
-            status=self._status,
-            diagnostics=self._diagnostics,
-        )
-
-    def _reset(self, rng: np.random.Generator, options: dict) -> None:
+    def reset(self, rng: np.random.Generator, options: dict) -> None:
         command = options.get("command")
         if command is None:
             command = sample_command(rng, self.config)
@@ -303,7 +291,7 @@ class TrackerScenario:
         self._err_sums = (0.0, 0.0)
         self._err_steps = 0
 
-    def _apply_action(self, action: np.ndarray) -> None:
+    def apply_action(self, action: np.ndarray) -> None:
         # prev_action becomes the action being applied; the rate penalty
         # compares against the one before it.
         self._rate_ref = self.state.prev_action
@@ -311,19 +299,21 @@ class TrackerScenario:
         self._target = scaled_target(action, self.config)
         self.state.prev_action = action.copy()
 
-    def _advance_one(self, dt: float) -> None:
-        self.state = tracker_dynamics_step(self.state, self._action, dt, self.config, self._target)
+    def advance_one(self) -> None:
+        self.state = tracker_dynamics_step(
+            self.state, self._action, self.config.sim_dt, self.config, self._target
+        )
 
-    def _observe(self) -> np.ndarray:
+    def observe(self) -> np.ndarray:
         return compose_observation(self.state, self.config.weights)
 
-    def _reward(self, action: np.ndarray, obs: np.ndarray) -> float:
+    def reward(self, action: np.ndarray) -> float:
         return tracker_reward(self.state, action, self._rate_ref, self.config.weights, self.config)
 
-    def _status(self, decision_step: int) -> tuple[bool, bool]:
-        return tracker_status(self.state, self.config), False
+    def terminated(self) -> bool:
+        return tracker_status(self.state, self.config)
 
-    def _diagnostics(self) -> dict:
+    def diagnostics(self) -> dict:
         # Runs exactly once per decision step, so the running tracking-error
         # sums that back the episode-averaged MSE accumulate here.
         v_x, v_y = self.state.v_xy.tolist()

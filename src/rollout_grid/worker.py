@@ -73,6 +73,11 @@ class WorkerRuntime:
         self.n_s = int(cfg["n_s"])
         if self.n_s < 1:
             raise ProtocolError(f"n_s must be >= 1, got {self.n_s}")
+        # A negative or NaN pad or delay would otherwise run unpadded. NaN
+        # arrives as null from canonical JSON and as NaN from plain JSON.
+        for key in ("pad_ms", "step_delay_max_ms"):
+            if not (isinstance(cfg[key], (int, float)) and cfg[key] >= 0):
+                raise ProtocolError(f"{key} must be a number >= 0, got {cfg[key]!r}")
         self._pad_s = float(cfg["pad_ms"]) / 1e3
         if cfg["pad_mode"] not in PAD_MODES:
             raise ProtocolError(f"pad_mode must be one of {PAD_MODES}, got {cfg['pad_mode']!r}")

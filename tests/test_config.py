@@ -182,6 +182,14 @@ def test_config_dataclass_rejects_a_bad_value_when_built(build, error, message):
         build()
 
 
+@pytest.mark.parametrize("env", list(ENVIRONMENTS))
+def test_env_config_rejects_a_physics_tick_of_zero(env):
+    # A scenario ticks by its config's sim_dt, so the config is the one check.
+    _, config_type = ENVIRONMENTS[env]
+    with pytest.raises((ValueError, InvalidParamsError), match="sim_dt"):
+        config_type(sim_dt=0.0)
+
+
 @pytest.mark.parametrize("env, section, message", [
     ("tracker", {"weights": {"sigma_track": 0.0}}, "tracker.weights: sigma_track must be > 0"),
     ("lander", {"params": {"mass": -1.0}}, "lander.params: mass must be positive"),

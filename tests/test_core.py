@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 from rollout_grid.core import (
     REWARD_FLOOR,
     Episode,
-    ScenarioSpec,
     episode_seed,
     validate_action,
 )
@@ -23,53 +21,46 @@ from rollout_grid.errors import (
 
 
 class RecordingScenario:
-    """Scriptable scenario that logs the order its hooks fire in."""
+    """Scriptable scenario that logs the order its methods run in."""
 
-    def __init__(self, obs_dim=3, act_dim=2, k=4, dt=0.005, horizon=5):
+    def __init__(self, obs_dim=3, act_dim=2, k=4, horizon=5):
         self.log = []
         self.fail_reset = False
         self.obs_value = np.zeros(obs_dim)
         self.terminate_at = None
-        self.k, self.dt, self.horizon = k, dt, horizon
+        self.steps_per_action, self.horizon = k, horizon
         self.obs_dim, self.act_dim = obs_dim, act_dim
         self.steps = 0
 
-    def spec(self):
-        return ScenarioSpec(
-            sim_step_size=self.dt,
-            steps_per_action=self.k,
-            horizon=self.horizon,
-            obs_dim=self.obs_dim,
-            act_dim=self.act_dim,
-            reset=self._reset,
-            apply_action=lambda a: self.log.append("apply"),
-            advance_one=lambda dt: self.log.append("advance"),
-            observe=self._observe,
-            reward=self._reward,
-            status=self._status,
-        )
-
-    def _reset(self, rng, options):
+    def reset(self, rng, options):
         if self.fail_reset:
             raise RuntimeError("reset exploded")
         self.log.append("reset")
         self.steps = 0
         self.first_draw = rng.integers(0, 2**32)
 
-    def _observe(self):
+    def apply_action(self, action):
+        self.log.append("apply")
+        self.steps += 1
+
+    def advance_one(self):
+        self.log.append("advance")
+
+    def observe(self):
         self.log.append("observe")
         return self.obs_value.copy()
 
-    def _reward(self, action, obs):
+    def reward(self, action):
         self.log.append("reward")
         return 1.0
 
-    def _status(self, decision_step):
-        self.log.append("status")
-        self.steps = decision_step
-        if self.terminate_at is not None and decision_step >= self.terminate_at:
-            return True, False
-        return False, False
+    def terminated(self):
+        self.log.append("terminated")
+        return self.terminate_at is not None and self.steps >= self.terminate_at
+
+    def diagnostics(self):
+        self.log.append("diagnostics")
+        return {}
 
 
 def test_validate_action_accepts_finite_vector():
@@ -98,8 +89,8 @@ def test_validate_action_property(act_dim, given_len):
 
 
 def test_episode_clock_law():
-    sc = RecordingScenario(k=4, dt=0.005, horizon=10)
-    ep = Episode(sc.spec())
+    sc = RecordingScenario(k=4, horizon=10)
+    ep = Episode(sc)
     ep.reset(0)
     for _ in range(7):
         ep.step(np.zeros(2))
@@ -110,16 +101,17 @@ def test_episode_clock_law():
 
 def test_hook_order_within_step():
     sc = RecordingScenario(k=3)
-    ep = Episode(sc.spec())
+    ep = Episode(sc)
     ep.reset(0)
     sc.log.clear()
     ep.step(np.zeros(2))
-    assert sc.log == ["apply", "advance", "advance", "advance", "observe", "reward", "status"]
+    assert sc.log == ["apply", "advance", "advance", "advance",
+                      "observe", "diagnostics", "reward", "terminated"]
 
 
 def test_reset_is_deterministic_for_same_seed():
     sc = RecordingScenario()
-    ep = Episode(sc.spec())
+    ep = Episode(sc)
     ep.reset(99)
     first = sc.first_draw
     ep.reset(99)
@@ -128,7 +120,7 @@ def test_reset_is_deterministic_for_same_seed():
 
 def test_truncates_at_horizon():
     sc = RecordingScenario(horizon=3)
-    ep = Episode(sc.spec())
+    ep = Episode(sc)
     ep.reset(0)
     results = [ep.step(np.zeros(2)) for _ in range(3)]
     assert [r.truncated for r in results] == [False, False, True]
@@ -138,7 +130,7 @@ def test_truncates_at_horizon():
 def test_termination_beats_truncation_at_horizon():
     sc = RecordingScenario(horizon=3)
     sc.terminate_at = 3
-    ep = Episode(sc.spec())
+    ep = Episode(sc)
     ep.reset(0)
     ep.step(np.zeros(2))
     ep.step(np.zeros(2))
@@ -148,7 +140,7 @@ def test_termination_beats_truncation_at_horizon():
 
 def test_step_after_done_raises():
     sc = RecordingScenario(horizon=1)
-    ep = Episode(sc.spec())
+    ep = Episode(sc)
     ep.reset(0)
     ep.step(np.zeros(2))
     with pytest.raises(EpisodeOver):
@@ -158,7 +150,7 @@ def test_step_after_done_raises():
 def test_reset_hook_failure_wrapped():
     sc = RecordingScenario()
     sc.fail_reset = True
-    ep = Episode(sc.spec())
+    ep = Episode(sc)
     with pytest.raises(ResetError):
         ep.reset(0)
 
@@ -166,14 +158,14 @@ def test_reset_hook_failure_wrapped():
 def test_nan_initial_observation_is_numerical_error():
     sc = RecordingScenario()
     sc.obs_value = np.array([np.nan, 0.0, 0.0])
-    ep = Episode(sc.spec())
+    ep = Episode(sc)
     with pytest.raises(NumericalError):
         ep.reset(0)
 
 
 def test_nan_mid_episode_terminates_with_floor():
     sc = RecordingScenario()
-    ep = Episode(sc.spec())
+    ep = Episode(sc)
     ep.reset(0)
     ok = ep.step(np.zeros(2))
     assert not ok.terminated
@@ -199,14 +191,12 @@ def test_episode_seed_wraps_negative_roots():
     assert episode_seed(-1, 0) == 2**64 - 1
 
 
-def test_spec_rejects_bad_timing():
+@pytest.mark.parametrize("name", ["steps_per_action", "horizon", "obs_dim", "act_dim"])
+def test_episode_rejects_a_size_below_one(name):
     sc = RecordingScenario()
-    with pytest.raises(ValueError):
-        ScenarioSpec(
-            sim_step_size=0.0, steps_per_action=1, horizon=1, obs_dim=1, act_dim=1,
-            reset=sc._reset, apply_action=lambda a: None, advance_one=lambda dt: None,
-            observe=sc._observe, reward=sc._reward, status=sc._status,
-        )
+    setattr(sc, name, 0)
+    with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+        Episode(sc)
 
 
 class SettlingScenario(RecordingScenario):
@@ -221,10 +211,7 @@ class SettlingScenario(RecordingScenario):
         self.settle_at = settle_at
         self.ticks = 0
 
-    def spec(self):
-        return dataclasses.replace(super().spec(), advance_one=self._advance_one)
-
-    def _advance_one(self, dt):
+    def advance_one(self):
         self.ticks += 1
         self.log.append("advance")
         if self.settle_at is None:
@@ -235,34 +222,31 @@ class SettlingScenario(RecordingScenario):
 @pytest.mark.parametrize("settle_at, ticks", [(1, 1), (3, 3), (5, 5), (None, 5), (math.inf, 5)])
 def test_step_stops_ticking_at_first_settled_advance(settle_at, ticks):
     sc = SettlingScenario(settle_at, k=5, horizon=3)
-    ep = Episode(sc.spec())
+    ep = Episode(sc)
     ep.reset(0)
     sc.log.clear()
     result = ep.step(np.zeros(2))
     # Ticks end at the first truthy return and never pass steps_per_action;
     # the rest of the step runs as usual on the settled state.
     assert sc.ticks == ticks
-    assert sc.log == ["apply"] + ["advance"] * ticks + ["observe", "reward", "status"]
+    assert sc.log == (["apply"] + ["advance"] * ticks
+                      + ["observe", "diagnostics", "reward", "terminated"])
     assert not result.done
     assert ep.decision_step == 1
 
 
 class DiagnosingScenario(SettlingScenario):
-    """Settling scenario with a diagnostics hook that logs each call."""
+    """Settling scenario whose diagnostics report the ticks run so far."""
 
-    def spec(self):
-        return dataclasses.replace(super().spec(), diagnostics=self._diagnostics)
-
-    def _diagnostics(self):
-        self.log.append("diagnostics")
-        return {"ticks_seen": self.ticks}
+    def diagnostics(self):
+        return {**super().diagnostics(), "ticks_seen": self.ticks}
 
 
 @pytest.mark.parametrize("outcome", ["running", "settled", "truncated", "numerical_failure"])
 def test_diagnostics_runs_once_per_step_after_the_advance(outcome):
     sc = DiagnosingScenario(settle_at=2 if outcome == "settled" else None, k=5,
                             horizon=1 if outcome == "truncated" else 3)
-    ep = Episode(sc.spec())
+    ep = Episode(sc)
     ep.reset(0)
     sc.log.clear()
     if outcome == "numerical_failure":

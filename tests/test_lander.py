@@ -220,14 +220,14 @@ class TestPriors:
 
 class TestLanderScenario:
     def test_initial_observation_encodes_touchdown_speed(self):
-        ep = Episode(LanderScenario().spec())
+        ep = Episode(LanderScenario())
         obs = ep.reset(3, {"drop_height": 1.0})
         np.testing.assert_allclose(obs[0], V0)
         assert obs[1] == 0.0
 
     def test_single_step_returns_negated_objective(self):
         cfg = LanderEnvConfig()
-        ep = Episode(LanderScenario(cfg).spec())
+        ep = Episode(LanderScenario(cfg))
         ep.reset(0, {"design": REF_DESIGN.as_dict()})
         res = ep.step(np.zeros(3))
         assert res.terminated
@@ -237,7 +237,7 @@ class TestLanderScenario:
         assert math.isclose(res.info["e_init"], E_INIT)
 
     def test_same_design_same_result(self):
-        ep = Episode(LanderScenario().spec())
+        ep = Episode(LanderScenario())
         values = []
         for _ in range(2):
             ep.reset(5, {"design": {"f_y": 2000.0, "beta": 0.1, "alpha2": 0.5}})
@@ -247,7 +247,7 @@ class TestLanderScenario:
     def test_invalid_design_fails_reset(self):
         from rollout_grid.errors import ResetError
 
-        ep = Episode(LanderScenario().spec())
+        ep = Episode(LanderScenario())
         with pytest.raises(ResetError):
             ep.reset(0, {"design": {"f_y": -5.0, "beta": 0.0, "alpha2": 0.0}})
 
@@ -274,7 +274,7 @@ def evaluation_digest(config, design_seed, n_designs, drop_heights):
     """
     digest = hashlib.sha256()
     draws = make_rng(design_seed)
-    episode = Episode(LanderScenario(config).spec())
+    episode = Episode(LanderScenario(config))
     bottomed = unsettled = zero_drop = 0
     for k in range(n_designs):
         design = sample_design(config.priors, draws)
@@ -348,7 +348,7 @@ def test_settled_lander_dispatches_no_ticks(monkeypatch):
         advance(integ, dt)
 
     monkeypatch.setattr(TouchdownIntegrator, "advance", counting_advance)
-    episode = Episode(LanderScenario(config).spec())
+    episode = Episode(LanderScenario(config))
     seen = []
     for design, h in cases:
         episode.reset(0, {"design": design.as_dict(), "drop_height": h})

@@ -10,6 +10,7 @@ import pytest
 
 from rollout_grid import pool as pool_module
 from rollout_grid import wire
+from rollout_grid.config import ENVIRONMENTS
 from rollout_grid.core import Episode, episode_seed
 from rollout_grid.errors import (
     ActionShapeError,
@@ -130,6 +131,19 @@ def test_action_shape_checked_before_send():
         assert len(pool.step_all(np.zeros((2, 12))).results) == 2
 
 
+@pytest.mark.parametrize("transport", TRANSPORTS)
+@pytest.mark.parametrize("env", list(ENVIRONMENTS))
+def test_each_environment_steps_as_an_episode_with_the_pools_dims(env, transport):
+    scenario = make_scenario(env)
+    episode = Episode(scenario)
+    first = episode.reset(0)
+    result = episode.step(np.zeros(scenario.act_dim))
+    assert first.shape == result.observation.shape == (scenario.obs_dim,)
+    with spawn_workers(env, 1, transport) as pool:
+        assert (pool.obs_dim, pool.act_dim) == (scenario.obs_dim, scenario.act_dim)
+        assert np.array_equal(pool.reset_all([0])[0], first)
+
+
 def test_unknown_env_fails_before_spawn():
     with pytest.raises(SpawnError):
         spawn_workers("quadruped", 2, "in-process")
@@ -156,6 +170,44 @@ def test_bad_pad_or_delay_fails_before_spawn(monkeypatch, transport, kwargs, mes
     monkeypatch.setattr(pool_module, "_launch_socket_worker", no_worker)
     with pytest.raises(SpawnError, match=re.escape(message)):
         spawn_workers("tracker", 2, transport, **kwargs)
+
+
+@pytest.mark.parametrize("name, raw", [
+    *((name, raw) for name in (pool_module.TIMEOUT_ENV_VAR, "step_timeout_s", "ready_timeout_s")
+      for raw in ("nan", "inf", "0", "-1")),
+    (pool_module.TIMEOUT_ENV_VAR, "soon"),
+])
+def test_bad_timeout_fails_before_spawn_naming_it(monkeypatch, name, raw):
+    def no_worker(*args):
+        raise AssertionError("a worker was started")
+
+    monkeypatch.setattr(pool_module, "InProcessChannel", no_worker)
+    monkeypatch.setattr(pool_module, "_launch_socket_worker", no_worker)
+    kwargs = {}
+    if name == pool_module.TIMEOUT_ENV_VAR:
+        monkeypatch.setenv(name, raw)
+    else:
+        kwargs[name] = float(raw)
+    with pytest.raises(RolloutError, match=name):
+        spawn_workers("tracker", 2, "socket", **kwargs)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("pad_ms", -5.0), ("step_delay_max_ms", -1.0),
+    ("pad_ms", float("nan")), ("step_delay_max_ms", float("nan")),
+    ("pad_ms", None), ("step_delay_max_ms", None),
+])
+def test_init_with_negative_or_nan_pad_or_delay_is_refused_naming_the_key(key, value):
+    # Sent straight to a worker, as a driver that builds its own INIT would:
+    # plain JSON carries NaN as NaN, canonical JSON as null.
+    cfg = {"env": "tracker", "env_config": {}, "worker_index": 0, "n_s": 1, "pad_ms": 0.0,
+           "pad_mode": "sleep", "step_delay_max_ms": 0.0, "delay_seed": 0, key: value}
+    runtime = WorkerRuntime()
+    reply = runtime.handle_frame(wire.TAG_INIT, json.dumps(cfg).encode())
+    tag, payload = wire.decode_frame(reply)
+    assert tag == wire.TAG_ERR
+    assert key in wire.decode_error(payload)[1]
+    assert runtime.episode is None
 
 
 def test_init_with_unknown_pad_mode_fails_spawn_naming_it(monkeypatch):

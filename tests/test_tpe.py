@@ -67,44 +67,45 @@ class TestSplit:
 class TestParzenDensity:
     def test_no_points_is_uniform_prior(self):
         d = ParzenDensity([], 2.0, 6.0)
-        assert d.pdf(3.0) == pytest.approx(0.25)
-        assert d.pdf(1.0) == 0.0
-        assert ParzenDensity([], 2.0, 6.0).pdf(4.0) == pytest.approx(0.25)
+        assert d.pdf_many([3.0])[0] == pytest.approx(0.25)
+        assert d.pdf_many([1.0])[0] == 0.0
+        assert ParzenDensity([], 2.0, 6.0).pdf_many([4.0])[0] == pytest.approx(0.25)
 
     def test_no_points_log_scale_prior(self):
         d = ParzenDensity([], 1e2, 1e4, log_scale=True)
         # log-uniform density 1/(x ln(hi/lo))
-        assert d.pdf(1e3) == pytest.approx(1.0 / (1e3 * math.log(100.0)))
+        assert d.pdf_many([1e3])[0] == pytest.approx(1.0 / (1e3 * math.log(100.0)))
 
     @pytest.mark.parametrize("points", [[5.0], [2.0, 3.0, 9.5], list(np.linspace(1.1, 9.9, 40))])
     def test_normalizes_to_one(self, points):
         d = ParzenDensity(points, 1.0, 10.0)
-        integral, _ = quad(d.pdf, 1.0, 10.0, limit=200)
+        integral, _ = quad(lambda x: d.pdf_many([x])[0], 1.0, 10.0, limit=200)
         assert abs(integral - 1.0) < 1e-3
 
     def test_normalizes_to_one_log_scale(self):
         d = ParzenDensity([150.0, 700.0, 9000.0], 1e2, 1e4, log_scale=True)
-        integral, _ = quad(d.pdf, 1e2, 1e4, limit=400)
+        integral, _ = quad(lambda x: d.pdf_many([x])[0], 1e2, 1e4, limit=400)
         assert abs(integral - 1.0) < 1e-3
 
     def test_normalizes_with_large_history(self, rng):
         points = rng.uniform(0.0, 1.0, size=200)
         d = ParzenDensity(points, 0.0, 1.0)
-        integral, _ = quad(d.pdf, 0.0, 1.0, limit=400)
+        integral, _ = quad(lambda x: d.pdf_many([x])[0], 0.0, 1.0, limit=400)
         assert abs(integral - 1.0) < 1e-3
 
     def test_single_midpoint_is_symmetric(self):
         d = ParzenDensity([5.0], 0.0, 10.0)
         for delta in (0.5, 1.0, 2.5, 4.0):
-            assert d.pdf(5.0 - delta) == pytest.approx(d.pdf(5.0 + delta), rel=1e-9)
+            left, right = d.pdf_many([5.0 - delta, 5.0 + delta])
+            assert left == pytest.approx(right, rel=1e-9)
 
     def test_density_peaks_near_observations(self):
         d = ParzenDensity([2.0, 2.1, 1.9], 0.0, 10.0)
-        assert d.pdf(2.0) > d.pdf(8.0)
+        assert d.pdf_many([2.0])[0] > d.pdf_many([8.0])[0]
 
     def test_samples_respect_bounds(self, rng):
         d = ParzenDensity([0.5, 7.0], 0.0, 8.0)
-        draws = [d.sample(rng) for _ in range(500)]
+        draws = d.sample_many(rng, 500)
         assert all(0.0 <= x <= 8.0 for x in draws)
 
     def test_points_outside_bounds_rejected(self):

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 
@@ -156,7 +155,7 @@ class TestStatus:
 
     def test_time_limit_truncates(self):
         # The horizon is the episode's rule: the tracker's status never truncates.
-        ep = Episode(TrackerScenario(TrackerEnvConfig(horizon=5)).spec())
+        ep = Episode(TrackerScenario(TrackerEnvConfig(horizon=5)))
         ep.reset(0)
         results = [ep.step(np.zeros(ACT_DIM)) for _ in range(5)]
         assert [r.done for r in results[:4]] == [False] * 4
@@ -187,7 +186,7 @@ class TestCommands:
 
     def test_same_seed_same_command(self):
         sc = TrackerScenario()
-        ep = Episode(sc.spec())
+        ep = Episode(sc)
         ep.reset(77)
         first = sc.state.command.copy()
         ep.reset(77)
@@ -197,14 +196,14 @@ class TestCommands:
 class TestScenario:
     def test_zero_action_zero_command_reward_is_w_track(self):
         sc = TrackerScenario()
-        ep = Episode(sc.spec())
+        ep = Episode(sc)
         ep.reset(0, {"command": [0.0, 0.0, 0.0]})
         res = ep.step(np.zeros(ACT_DIM))
         assert math.isclose(res.reward, sc.config.weights.w_track)
 
     def test_info_supports_episode_mse(self):
         sc = TrackerScenario()
-        ep = Episode(sc.spec())
+        ep = Episode(sc)
         ep.reset(3, {"command": [0.5, -0.25, 0.0]})
         res = None
         for _ in range(10):
@@ -214,14 +213,14 @@ class TestScenario:
         assert res.info["cmd_x"] == 0.5 and res.info["cmd_y"] == -0.25
 
     def test_interface_shapes(self):
-        spec = TrackerScenario().spec()
-        assert spec.obs_dim == 45 and spec.act_dim == 12
+        scenario = TrackerScenario()
+        assert scenario.obs_dim == 45 and scenario.act_dim == 12
 
     def test_determinism_bitwise(self):
         actions = np.random.default_rng(0).uniform(-1, 1, size=(20, ACT_DIM))
         outs = []
         for _ in range(2):
-            ep = Episode(TrackerScenario().spec())
+            ep = Episode(TrackerScenario())
             obs = [ep.reset(123)]
             rewards = []
             for a in actions:
@@ -249,7 +248,7 @@ def tracker_stream_digest(config, root_seed, action_seed, n_steps):
     """
     digest = hashlib.sha256()
     actions = make_rng(action_seed)
-    episode = Episode(TrackerScenario(config).spec())
+    episode = Episode(TrackerScenario(config))
     episodes = terminations = truncations = 0
     digest.update(episode.reset(episode_seed(root_seed, 0)).tobytes())
     for _ in range(n_steps):
@@ -305,10 +304,9 @@ class TestGoldenStream:
 
 def test_each_tick_goes_through_module_level_dynamics_step(monkeypatch):
     # Episode.step runs advance_one steps_per_action times per decision step,
-    # and the tracker routes each tick through the module attribute, so a
-    # patched tracker_dynamics_step sees every tick.
+    # and the tracker routes each tick, with its own sim_dt, through the module
+    # attribute, so a patched tracker_dynamics_step sees every tick.
     config = TrackerEnvConfig(steps_per_action=3)
-    spec = TrackerScenario(config).spec()
     dynamics_calls = []
     advance_calls = []
 
@@ -316,14 +314,15 @@ def test_each_tick_goes_through_module_level_dynamics_step(monkeypatch):
         dynamics_calls.append(args[2])
         return tracker_dynamics_step(*args)
 
-    def counting_advance(dt):
-        advance_calls.append(dt)
-        spec.advance_one(dt)
+    class CountingScenario(TrackerScenario):
+        def advance_one(self):
+            advance_calls.append(None)
+            super().advance_one()
 
     monkeypatch.setattr(tracker_module, "tracker_dynamics_step", counting_dynamics)
-    episode = Episode(dataclasses.replace(spec, advance_one=counting_advance))
+    episode = Episode(CountingScenario(config))
     episode.reset(5)
     for n in range(1, 8):
         episode.step(np.full(ACT_DIM, 0.1 * n))
         assert len(advance_calls) == len(dynamics_calls) == 3 * n
-    assert set(advance_calls) == set(dynamics_calls) == {config.sim_dt}
+    assert set(dynamics_calls) == {config.sim_dt}
